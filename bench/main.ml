@@ -567,7 +567,10 @@ let cache_bench ?(out = "BENCH_pr9.json") () =
    delete at 3-2-2 by at least half, history recording (the consistency
    auditor's hook in every suite operation) must cost under 10%, and the
    version-validated client cache must not send MORE bytes than the uncached
-   path on its home read-heavy workload. The timing rows and counters land
+   path on its home read-heavy workload, and a root range digest over 100k
+   entries must cost under 4x one over 1k (a digest linear in the entries
+   would cost ~100x; one from cached subtree sums is flat on any machine).
+   The timing rows and counters land
    in BENCH_pr8_smoke.json (earlier PRs wrote this file as BENCH_pr6.json —
    see EXPERIMENTS.md on the numbering drift). *)
 let smoke ?(out = "BENCH_pr8_smoke.json") () =
@@ -581,10 +584,20 @@ let smoke ?(out = "BENCH_pr8_smoke.json") () =
         bench_suite_insert_delete_audited ~config:cfg_322 ();
       ]
   in
+  (* A separate run, after the suite rows: the 100k-entry tree must not be
+     live (and scanned by every major GC slice) while those are timed. *)
+  let rows =
+    rows
+    @ run_benchmarks ~quota:0.3
+        [ bench_btree_digest ~branching:32 1_000; bench_btree_digest ~branching:32 100_000 ]
+  in
   let ns name =
     match List.find_opt (fun r -> r.name = "repdir " ^ name) rows with
     | Some r -> r.ns
     | None -> nan
+  in
+  let digest_scaling =
+    ns "btree(b=32)/digest-root/100000" /. ns "btree(b=32)/digest-root/1000"
   in
   let unbatched_ns = ns "suite(3-2-2)/insert+delete+2pc" in
   let batched_ns = ns "suite(3-2-2)/insert+delete+2pc+batch" in
@@ -605,6 +618,8 @@ let smoke ?(out = "BENCH_pr8_smoke.json") () =
   Printf.printf "auditor recording overhead: %+.1f%%\n" audit_overhead;
   Printf.printf "cache bytes/op (read-heavy): on %.1f vs off %.1f\n%!"
     cache_on.k_bytes_per_op cache_off.k_bytes_per_op;
+  Printf.printf "root digest at 100k entries: %.2fx its cost at 1k (gate: < 4x)\n%!"
+    digest_scaling;
   write_bench_json ~path:out
     ~counters:
       (counters
@@ -612,6 +627,7 @@ let smoke ?(out = "BENCH_pr8_smoke.json") () =
           ("audit/recording-overhead-pct", audit_overhead);
           ("cache/off bytes-per-op", cache_off.k_bytes_per_op);
           ("cache/on bytes-per-op", cache_on.k_bytes_per_op);
+          ("gapmap/digest-root 100k:1k cost ratio", digest_scaling);
         ])
     rows;
   let failures = ref [] in
@@ -635,6 +651,10 @@ let smoke ?(out = "BENCH_pr8_smoke.json") () =
     && cache_on.k_bytes_per_op <= cache_off.k_bytes_per_op)
     (Printf.sprintf "cached read path sent more bytes/op than uncached: %.1f vs %.1f"
        cache_on.k_bytes_per_op cache_off.k_bytes_per_op);
+  check
+    ((not (Float.is_nan digest_scaling)) && digest_scaling < 4.0)
+    (Printf.sprintf "root digest at 100k entries costs %.1fx its cost at 1k (>= 4x)"
+       digest_scaling);
   match !failures with
   | [] -> Printf.printf "smoke OK\n%!"
   | fs ->

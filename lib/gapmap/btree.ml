@@ -6,13 +6,22 @@
    the version of the gap between [e] and the next entry (or HIGH). The gap
    between LOW and the first entry is held at the tree root ([low_gap]).
 
+   Range digests: every entry caches its [entry_hash] (over key, version,
+   value and [gap_after]), every leaf the sum of its entries' hashes, and
+   every inner node the sum and count of its whole subtree. Sums are mod
+   2^63 and compose, so the (sum, count) of any key range is a prefix
+   difference found in one root-to-leaf descent per end: digests, counts
+   and rank queries cost O(branching * log n), not O(range). A leaf's count
+   is its array length.
+
    Structure invariants (verified by [check_invariants]):
    - separator convention: keys in [kids.(i)] are [< keys.(i)]; keys in
      [kids.(i+1)] are [>= keys.(i)];
    - every leaf except a root leaf holds between [branching/2] and
      [branching] entries; every internal node except the root has between
      [branching/2] and [branching] children; the root has at least 2;
-   - all leaves are at the same depth and are doubly linked in key order. *)
+   - all leaves are at the same depth and are doubly linked in key order;
+   - every cached hash, sum and count equals its recomputation. *)
 
 open Repdir_key
 open Gapmap_intf
@@ -22,6 +31,7 @@ type entry = {
   mutable version : Version.t;
   mutable value : value;
   mutable gap_after : Version.t;
+  mutable hash : int;  (* [entry_hash] of the four fields above *)
 }
 
 type node = Leaf of leaf | Inner of inner
@@ -30,9 +40,15 @@ and leaf = {
   mutable entries : entry array;
   mutable next : leaf option;
   mutable prev : leaf option;
+  mutable lsum : int;  (* sum of the entries' hashes *)
 }
 
-and inner = { mutable keys : Key.t array; mutable kids : node array }
+and inner = {
+  mutable keys : Key.t array;
+  mutable kids : node array;
+  mutable isum : int;  (* sum of every entry hash in the subtree *)
+  mutable icount : int;  (* number of entries in the subtree *)
+}
 
 type t = {
   mutable root : node;
@@ -46,7 +62,7 @@ let default_branching = 32
 let create_with ~branching () =
   if branching < 4 then invalid_arg "Btree.create_with: branching must be >= 4";
   {
-    root = Leaf { entries = [||]; next = None; prev = None };
+    root = Leaf { entries = [||]; next = None; prev = None; lsum = 0 };
     low_gap = Version.lowest;
     size = 0;
     branching;
@@ -55,6 +71,49 @@ let create_with ~branching () =
 let create () = create_with ~branching:default_branching ()
 let size t = t.size
 let branching t = t.branching
+
+(* --- cached sums ---------------------------------------------------------- *)
+
+let node_sum = function Leaf l -> l.lsum | Inner n -> n.isum
+let node_count = function Leaf l -> Array.length l.entries | Inner n -> n.icount
+
+let leaf_sum l =
+  let s = ref 0 in
+  for i = 0 to Array.length l.entries - 1 do
+    s := !s + l.entries.(i).hash
+  done;
+  !s
+
+let refresh_leaf l = l.lsum <- leaf_sum l
+
+let refresh_inner n =
+  let s = ref 0 and c = ref 0 in
+  for i = 0 to Array.length n.kids - 1 do
+    s := !s + node_sum n.kids.(i);
+    c := !c + node_count n.kids.(i)
+  done;
+  n.isum <- !s;
+  n.icount <- !c
+
+let inner_of keys kids =
+  let n = { keys; kids; isum = 0; icount = 0 } in
+  refresh_inner n;
+  n
+
+let make_entry key version value gap_after =
+  { key; version; value; gap_after; hash = entry_hash key version value gap_after }
+
+(* The only place a stored entry's version, value or gap changes: it
+   re-hashes the entry and repairs its leaf's sum. The descent that reached
+   the leaf repairs the ancestors by comparing the child's sum before and
+   after (see [insert_node], [remove_node] and [set_gap_node]). *)
+let rewrite l e ~version ~value ~gap_after =
+  let h = entry_hash e.key version value gap_after in
+  e.version <- version;
+  e.value <- value;
+  e.gap_after <- gap_after;
+  l.lsum <- l.lsum - e.hash + h;
+  e.hash <- h
 
 (* --- array helpers ------------------------------------------------------ *)
 
@@ -129,40 +188,15 @@ let pred_entry t b =
             (* Leaves other than a root leaf are never empty. *)
             Some p.entries.(Array.length p.entries - 1))
 
-(* Largest entry at or below bound [b]. *)
-let pred_entry_inclusive t b =
-  match b with
-  | Bound.Low -> None
-  | Bound.High -> pred_entry t Bound.High
-  | Bound.Key k -> (
-      let l = leaf_for t.root k in
-      let i, found = leaf_search l.entries k in
-      if found then Some l.entries.(i)
-      else if i > 0 then Some l.entries.(i - 1)
-      else match l.prev with None -> None | Some p -> Some p.entries.(Array.length p.entries - 1))
-
-(* Smallest entry strictly above bound [b], if any. *)
-let succ_entry t b =
-  match b with
-  | Bound.High -> None
-  | Bound.Low ->
-      let l = leftmost_leaf t.root in
-      if Array.length l.entries = 0 then None else Some l.entries.(0)
-  | Bound.Key k -> (
-      let l = leaf_for t.root k in
-      let i, found = leaf_search l.entries k in
-      let j = if found then i + 1 else i in
-      if j < Array.length l.entries then Some l.entries.(j)
-      else
-        match l.next with
-        | None -> None
-        | Some nx -> Some nx.entries.(0))
-
-(* Version of the gap immediately following bound [b] when [b] is an entry or
-   sentinel, or the gap containing [b] otherwise: the gap after the largest
-   entry at or below [b]. *)
-let gap_at_or_after t b =
-  match pred_entry_inclusive t b with None -> t.low_gap | Some e -> e.gap_after
+(* Version of the gap just below slot [i] of leaf [l]: the gap after the
+   entry before that slot, which may be the previous leaf's last entry
+   (leaves other than a root leaf are never empty), or LOW's gap. *)
+let gap_before t l i =
+  if i > 0 then l.entries.(i - 1).gap_after
+  else
+    match l.prev with
+    | Some p -> p.entries.(Array.length p.entries - 1).gap_after
+    | None -> t.low_gap
 
 let mem t k =
   let l = leaf_for t.root k in
@@ -170,6 +204,8 @@ let mem t k =
 
 (* --- queries ------------------------------------------------------------ *)
 
+(* Point queries make a single descent: the gap around a key is read off
+   the leaf slot the key routes to. *)
 let lookup t bound =
   match bound with
   | Bound.Low | Bound.High -> Present { version = Version.lowest; value = "" }
@@ -177,7 +213,7 @@ let lookup t bound =
       let l = leaf_for t.root k in
       let i, found = leaf_search l.entries k in
       if found then Present { version = l.entries.(i).version; value = l.entries.(i).value }
-      else Absent { gap_version = gap_at_or_after t bound }
+      else Absent { gap_version = gap_before t l i }
 
 let predecessor t bound =
   if Bound.equal bound Bound.Low then invalid_arg "Gapmap.predecessor: LOW";
@@ -186,12 +222,24 @@ let predecessor t bound =
       { key = Bound.Key e.key; entry_version = Some e.version; gap_version = e.gap_after }
   | None -> { key = Bound.Low; entry_version = None; gap_version = t.low_gap }
 
-let successor t bound =
-  if Bound.equal bound Bound.High then invalid_arg "Gapmap.successor: HIGH";
-  let gap_version = gap_at_or_after t bound in
-  match succ_entry t bound with
+let neighbor_of gap_version = function
   | Some e -> { key = Bound.Key e.key; entry_version = Some e.version; gap_version }
   | None -> { key = Bound.High; entry_version = None; gap_version }
+
+let successor t bound =
+  match bound with
+  | Bound.High -> invalid_arg "Gapmap.successor: HIGH"
+  | Bound.Low ->
+      let l = leftmost_leaf t.root in
+      neighbor_of t.low_gap (if Array.length l.entries = 0 then None else Some l.entries.(0))
+  | Bound.Key k ->
+      let l = leaf_for t.root k in
+      let i, found = leaf_search l.entries k in
+      let gap_version = if found then l.entries.(i).gap_after else gap_before t l i in
+      let j = if found then i + 1 else i in
+      neighbor_of gap_version
+        (if j < Array.length l.entries then Some l.entries.(j)
+         else Option.map (fun nx -> nx.entries.(0)) l.next)
 
 (* --- insertion ----------------------------------------------------------- *)
 
@@ -202,30 +250,27 @@ let rec insert_node t node k version value =
   | Leaf l ->
       let i, found = leaf_search l.entries k in
       if found then begin
-        l.entries.(i).version <- version;
-        l.entries.(i).value <- value;
+        let e = l.entries.(i) in
+        rewrite l e ~version ~value ~gap_after:e.gap_after;
         None
       end
       else begin
         (* Splitting the gap: the new entry's gap_after is the version of the
            gap it lands in, i.e. the gap after its predecessor. *)
-        let gap_after =
-          if i > 0 then l.entries.(i - 1).gap_after
-          else
-            match l.prev with
-            | Some p -> p.entries.(Array.length p.entries - 1).gap_after
-            | None -> t.low_gap
-        in
-        l.entries <- array_insert l.entries i { key = k; version; value; gap_after };
+        let e = make_entry k version value (gap_before t l i) in
+        l.entries <- array_insert l.entries i e;
+        l.lsum <- l.lsum + e.hash;
         t.size <- t.size + 1;
         if Array.length l.entries <= t.branching then None
         else begin
           let n = Array.length l.entries in
           let mid = n / 2 in
           let right : leaf =
-            { entries = Array.sub l.entries mid (n - mid); next = l.next; prev = Some l }
+            { entries = Array.sub l.entries mid (n - mid); next = l.next; prev = Some l; lsum = 0 }
           in
           l.entries <- Array.sub l.entries 0 mid;
+          refresh_leaf l;
+          refresh_leaf right;
           (match right.next with Some nx -> nx.prev <- Some right | None -> ());
           l.next <- Some right;
           Some (right.entries.(0).key, Leaf right)
@@ -233,9 +278,16 @@ let rec insert_node t node k version value =
       end
   | Inner n -> (
       let i = child_index n.keys k in
-      match insert_node t n.kids.(i) k version value with
+      let kid = n.kids.(i) in
+      let sum0 = node_sum kid and count0 = node_count kid in
+      let split = insert_node t kid k version value in
+      n.isum <- n.isum - sum0 + node_sum kid;
+      n.icount <- n.icount - count0 + node_count kid;
+      match split with
       | None -> None
       | Some (sep, right) ->
+          n.isum <- n.isum + node_sum right;
+          n.icount <- n.icount + node_count right;
           n.keys <- array_insert n.keys i sep;
           n.kids <- array_insert n.kids (i + 1) right;
           if Array.length n.kids <= t.branching then None
@@ -246,20 +298,20 @@ let rec insert_node t node k version value =
                right takes kids [mid..]. *)
             let up = n.keys.(mid - 1) in
             let right_inner =
-              {
-                keys = Array.sub n.keys mid (Array.length n.keys - mid);
-                kids = Array.sub n.kids mid (m - mid);
-              }
+              inner_of
+                (Array.sub n.keys mid (Array.length n.keys - mid))
+                (Array.sub n.kids mid (m - mid))
             in
             n.keys <- Array.sub n.keys 0 (mid - 1);
             n.kids <- Array.sub n.kids 0 mid;
+            refresh_inner n;
             Some (up, Inner right_inner)
           end)
 
 let insert t k version value =
   match insert_node t t.root k version value with
   | None -> ()
-  | Some (sep, right) -> t.root <- Inner { keys = [| sep |]; kids = [| t.root; right |] }
+  | Some (sep, right) -> t.root <- Inner (inner_of [| sep |] [| t.root; right |])
 
 (* --- deletion ------------------------------------------------------------ *)
 
@@ -268,7 +320,9 @@ let node_weight = function
   | Inner n -> Array.length n.kids
 
 (* Restore occupancy of [n.kids.(i)] after a deletion below it, by borrowing
-   from or merging with an adjacent sibling. *)
+   from or merging with an adjacent sibling. Entries only move between
+   [n]'s children, so [n]'s own sum and count stay as they are; the
+   children that gain or lose entries are re-summed. *)
 let fix_child t n i =
   let min_weight = t.branching / 2 in
   let cur = n.kids.(i) in
@@ -283,16 +337,21 @@ let fix_child t n i =
         let moved = lft.entries.(n_l - 1) in
         lft.entries <- Array.sub lft.entries 0 (n_l - 1);
         c.entries <- array_insert c.entries 0 moved;
-        n.keys.(i - 1) <- moved.key
+        n.keys.(i - 1) <- moved.key;
+        refresh_leaf lft;
+        refresh_leaf c
     | Leaf c, _, Some (Leaf rgt) when Array.length rgt.entries > min_weight ->
         (* Borrow the right sibling's first entry. *)
         let moved = rgt.entries.(0) in
         rgt.entries <- array_remove rgt.entries 0;
         c.entries <- array_insert c.entries (Array.length c.entries) moved;
-        n.keys.(i) <- rgt.entries.(0).key
+        n.keys.(i) <- rgt.entries.(0).key;
+        refresh_leaf rgt;
+        refresh_leaf c
     | Leaf c, Some (Leaf lft), _ ->
         (* Merge into the left sibling. *)
         lft.entries <- Array.append lft.entries c.entries;
+        refresh_leaf lft;
         lft.next <- c.next;
         (match c.next with Some nx -> nx.prev <- Some lft | None -> ());
         n.keys <- array_remove n.keys (i - 1);
@@ -300,6 +359,7 @@ let fix_child t n i =
     | Leaf c, None, Some (Leaf rgt) ->
         (* Merge the right sibling into this leaf. *)
         c.entries <- Array.append c.entries rgt.entries;
+        refresh_leaf c;
         c.next <- rgt.next;
         (match rgt.next with Some nx -> nx.prev <- Some c | None -> ());
         n.keys <- array_remove n.keys i;
@@ -313,7 +373,9 @@ let fix_child t n i =
         lft.keys <- Array.sub lft.keys 0 (n_l - 2);
         c.kids <- array_insert c.kids 0 moved_kid;
         c.keys <- array_insert c.keys 0 n.keys.(i - 1);
-        n.keys.(i - 1) <- moved_key
+        n.keys.(i - 1) <- moved_key;
+        refresh_inner lft;
+        refresh_inner c
     | Inner c, _, Some (Inner rgt) when Array.length rgt.kids > min_weight ->
         let moved_kid = rgt.kids.(0) in
         let moved_key = rgt.keys.(0) in
@@ -321,15 +383,19 @@ let fix_child t n i =
         rgt.keys <- array_remove rgt.keys 0;
         c.kids <- array_insert c.kids (Array.length c.kids) moved_kid;
         c.keys <- array_insert c.keys (Array.length c.keys) n.keys.(i);
-        n.keys.(i) <- moved_key
+        n.keys.(i) <- moved_key;
+        refresh_inner rgt;
+        refresh_inner c
     | Inner c, Some (Inner lft), _ ->
         lft.keys <- Array.append lft.keys (array_insert c.keys 0 n.keys.(i - 1));
         lft.kids <- Array.append lft.kids c.kids;
+        refresh_inner lft;
         n.keys <- array_remove n.keys (i - 1);
         n.kids <- array_remove n.kids i
     | Inner c, None, Some (Inner rgt) ->
         c.keys <- Array.append (array_insert c.keys (Array.length c.keys) n.keys.(i)) rgt.keys;
         c.kids <- Array.append c.kids rgt.kids;
+        refresh_inner c;
         n.keys <- array_remove n.keys i;
         n.kids <- array_remove n.kids (i + 1)
     | _, None, None ->
@@ -346,6 +412,7 @@ let rec remove_node t node k =
   | Leaf l ->
       let i, found = leaf_search l.entries k in
       if found then begin
+        l.lsum <- l.lsum - l.entries.(i).hash;
         l.entries <- array_remove l.entries i;
         t.size <- t.size - 1;
         true
@@ -353,8 +420,14 @@ let rec remove_node t node k =
       else false
   | Inner n ->
       let i = child_index n.keys k in
-      let removed = remove_node t n.kids.(i) k in
-      if removed then fix_child t n i;
+      let kid = n.kids.(i) in
+      let sum0 = node_sum kid in
+      let removed = remove_node t kid k in
+      if removed then begin
+        n.isum <- n.isum - sum0 + node_sum kid;
+        n.icount <- n.icount - 1;
+        fix_child t n i
+      end;
       removed
 
 let remove t k =
@@ -365,33 +438,6 @@ let remove t k =
   removed
 
 (* --- range operations ---------------------------------------------------- *)
-
-(* Keys of entries strictly between two bounds, in ascending order. *)
-let keys_strictly_between t ~lo ~hi =
-  let acc = ref [] in
-  let start =
-    match lo with
-    | Bound.Low -> Some (leftmost_leaf t.root, 0)
-    | Bound.High -> None
-    | Bound.Key k ->
-        let l = leaf_for t.root k in
-        let i, found = leaf_search l.entries k in
-        Some (l, if found then i + 1 else i)
-  in
-  let rec walk l i =
-    if i >= Array.length l.entries then
-      match l.next with None -> () | Some nx -> walk nx 0
-    else
-      let e = l.entries.(i) in
-      if Bound.compare (Bound.Key e.key) hi < 0 then begin
-        acc := e.key :: !acc;
-        walk l (i + 1)
-      end
-  in
-  (match start with None -> () | Some (l, i) -> walk l i);
-  List.rev !acc
-
-let count_strictly_between t ~lo ~hi = List.length (keys_strictly_between t ~lo ~hi)
 
 let entries_between t ~lo ~hi =
   let acc = ref [] in
@@ -417,33 +463,96 @@ let entries_between t ~lo ~hi =
   (match start with None -> () | Some (l, i) -> walk l i);
   List.rev !acc
 
+(* Sum and count of the entries below key [k] (at or below it when
+   [incl]): the subtrees left of the descent path contribute their cached
+   totals, the final leaf its prefix. *)
+let prefix t k ~incl =
+  let rec go node sum count =
+    match node with
+    | Leaf l ->
+        let i, found = leaf_search l.entries k in
+        let j = if incl && found then i + 1 else i in
+        let s = ref sum in
+        for x = 0 to j - 1 do
+          s := !s + l.entries.(x).hash
+        done;
+        { s_sum = !s; s_count = count + j }
+    | Inner n ->
+        let i = child_index n.keys k in
+        let s = ref sum and c = ref count in
+        for x = 0 to i - 1 do
+          s := !s + node_sum n.kids.(x);
+          c := !c + node_count n.kids.(x)
+        done;
+        go n.kids.(i) !s !c
+  in
+  go t.root 0 0
+
+let below t b ~incl =
+  match b with
+  | Bound.Low -> { s_sum = 0; s_count = 0 }
+  | Bound.High -> { s_sum = node_sum t.root; s_count = t.size }
+  | Bound.Key k -> prefix t k ~incl
+
+let summary_between t ~lo ~hi =
+  let a = below t lo ~incl:true and b = below t hi ~incl:false in
+  if b.s_count <= a.s_count then { s_sum = 0; s_count = 0 }
+  else { s_sum = b.s_sum - a.s_sum; s_count = b.s_count - a.s_count }
+
+let count_strictly_between t ~lo ~hi = (summary_between t ~lo ~hi).s_count
+
+(* Descend on subtree counts to the entry of global rank [r]. *)
+let rec nth_key node r =
+  match node with
+  | Leaf l -> l.entries.(r).key
+  | Inner n ->
+      let rec pick x r =
+        let c = node_count n.kids.(x) in
+        if r < c then nth_key n.kids.(x) r else pick (x + 1) (r - c)
+      in
+      pick 0 r
+
+let key_at_rank t ~lo ~hi i =
+  let base = (below t lo ~incl:true).s_count in
+  if i < 0 || base + i >= (below t hi ~incl:false).s_count then
+    invalid_arg "Gapmap.key_at_rank: rank out of range";
+  nth_key t.root (base + i)
+
 let endpoint_exists t = function
   | Bound.Low | Bound.High -> true
   | Bound.Key k -> mem t k
 
-let coalesce t ~lo ~hi version =
-  if Bound.compare lo hi >= 0 then invalid_arg "Gapmap.coalesce: lo >= hi";
-  if not (endpoint_exists t lo) then raise (Missing_endpoint lo);
-  if not (endpoint_exists t hi) then raise (Missing_endpoint hi);
-  let doomed = keys_strictly_between t ~lo ~hi in
-  List.iter (fun k -> ignore (remove t k)) doomed;
-  (match lo with
-  | Bound.Low -> t.low_gap <- version
-  | Bound.Key k ->
-      (match pred_entry_inclusive t (Bound.Key k) with
-      | Some e when Key.equal e.key k -> e.gap_after <- version
-      | Some _ | None -> assert false)
-  | Bound.High -> assert false);
-  List.length doomed
+(* Set the gap after stored entry [k], repairing the sums on its path;
+   false if [k] is absent. *)
+let rec set_gap_node node k version =
+  match node with
+  | Leaf l ->
+      let i, found = leaf_search l.entries k in
+      (if found then
+         let e = l.entries.(i) in
+         rewrite l e ~version:e.version ~value:e.value ~gap_after:version);
+      found
+  | Inner n ->
+      let kid = n.kids.(child_index n.keys k) in
+      let sum0 = node_sum kid in
+      let found = set_gap_node kid k version in
+      n.isum <- n.isum - sum0 + node_sum kid;
+      found
 
 let set_gap_after t b version =
   match b with
   | Bound.High -> invalid_arg "Gapmap.set_gap_after: HIGH"
   | Bound.Low -> t.low_gap <- version
-  | Bound.Key k -> (
-      match pred_entry_inclusive t (Bound.Key k) with
-      | Some e when Key.equal e.key k -> e.gap_after <- version
-      | Some _ | None -> raise (Missing_endpoint b))
+  | Bound.Key k -> if not (set_gap_node t.root k version) then raise (Missing_endpoint b)
+
+let coalesce t ~lo ~hi version =
+  if Bound.compare lo hi >= 0 then invalid_arg "Gapmap.coalesce: lo >= hi";
+  if not (endpoint_exists t lo) then raise (Missing_endpoint lo);
+  if not (endpoint_exists t hi) then raise (Missing_endpoint hi);
+  let doomed = entries_between t ~lo ~hi in
+  List.iter (fun (k, _, _, _) -> ignore (remove t k)) doomed;
+  set_gap_after t lo version;
+  List.length doomed
 
 (* --- iteration ----------------------------------------------------------- *)
 
@@ -486,6 +595,12 @@ let check_invariants t =
           if Key.compare l.entries.(i).key l.entries.(i + 1).key >= 0 then
             fail "leaf out of order at %a" Key.pp l.entries.(i).key
         done;
+        Array.iter
+          (fun e ->
+            if e.hash <> entry_hash e.key e.version e.value e.gap_after then
+              fail "stale entry hash at %a" Key.pp e.key)
+          l.entries;
+        if l.lsum <> leaf_sum l then fail "stale leaf sum";
         if n = 0 then (1, None, None)
         else (1, Some l.entries.(0).key, Some l.entries.(n - 1).key)
     | Inner node ->
@@ -495,6 +610,12 @@ let check_invariants t =
         if is_root && kids < 2 then fail "root inner with < 2 children";
         if kids > t.branching then fail "inner overfull";
         let results = Array.map (fun kid -> check kid ~is_root:false) node.kids in
+        (* The kids' own caches are verified by now, so one level of
+           recomputation covers the subtree. *)
+        let sum = Array.fold_left (fun s kid -> s + node_sum kid) 0 node.kids in
+        let count = Array.fold_left (fun c kid -> c + node_count kid) 0 node.kids in
+        if node.isum <> sum then fail "stale inner sum";
+        if node.icount <> count then fail "stale inner count (%d vs %d)" node.icount count;
         Array.iteri
           (fun i (_, first, last) ->
             (* Separator correctness: kid i's keys < keys.(i) <= kid (i+1)'s. *)
@@ -520,6 +641,8 @@ let check_invariants t =
     (* Leaf chain covers exactly the entries, in order, with sane links. *)
     let count = fold_entries t ~init:0 ~f:(fun acc _ -> acc + 1) in
     if count <> t.size then Error (Printf.sprintf "size mismatch: chain %d vs %d" count t.size)
+    else if node_count t.root <> t.size then
+      Error (Printf.sprintf "size mismatch: root count %d vs %d" (node_count t.root) t.size)
     else Ok ()
   with Bad msg -> Error msg
 
@@ -546,6 +669,8 @@ include Gapmap_intf.Sync_ops (struct
   let gaps = gaps
   let count_strictly_between = count_strictly_between
   let entries_between = entries_between
+  let summary_between = summary_between
+  let key_at_rank = key_at_rank
   let check_invariants = check_invariants
   let pp = pp
 end)

@@ -13,9 +13,9 @@
     entries, as §5 of the paper envisions).
 
     Beyond the paper's Figure 6 operations, {!S} includes the anti-entropy
-    surface: range digests (a checksum fold of the map's state over a key
-    range, so two representatives can cheaply compare ranges), range
-    transfers, and a version-monotone merge that applies a peer's newer
+    surface: range digests (an order-independent sum of per-entry hashes
+    over a key range, so two representatives can cheaply compare ranges),
+    range transfers, and a version-monotone merge that applies a peer's newer
     entries and gap versions without ever lowering — or fabricating — a
     version number. The merge logic is shared by both implementations via
     {!Sync_ops}, so it is written (and property-tested) once. *)
@@ -46,12 +46,19 @@ exception Missing_endpoint of Bound.t
 
 (* --- anti-entropy types -------------------------------------------------- *)
 
-(** Summary of a map's state over a half-open range [(lo, hi]]: an FNV-1a
-    fold of every entry (key, version, value, following-gap version) strictly
-    inside, the version of the gap just above [lo], and the state at [hi]
-    itself. Two maps have equal digests for a range iff they agree pointwise
-    on it (up to hash collision). *)
+(** Summary of a map's state over a half-open range [(lo, hi]]: the sum
+    (mod 2{^63}) of a term for the version of the gap just above [lo], one
+    {!entry_hash} per entry strictly inside, and a term for the state at
+    [hi] itself. Two maps have equal digests for a range iff they agree
+    pointwise on it (up to hash collision). [n_entries] counts the entries
+    inside plus [hi] when it is an entry. *)
 type digest = { hash : int64; n_entries : int }
+
+(** Additive summary of the entries strictly inside a range: the sum of
+    their {!entry_hash}es (mod 2{^63}) and their number. Sums compose, so an
+    implementation can cache them per subtree and answer any range in
+    O(log n). *)
+type summary = { s_sum : int; s_count : int }
 
 (** The state of the range endpoint [hi] as seen by the sending map. *)
 type hi_state =
@@ -106,6 +113,41 @@ let empty_applied =
   { installed = 0; updated = 0; deleted = 0; gaps_raised = 0; ghosts_kept = 0 }
 
 let pp_digest ppf d = Format.fprintf ppf "%016Lx/%d" d.hash d.n_entries
+
+(* --- per-entry hashing ---------------------------------------------------- *)
+
+(* An FNV-style multiply-xor over native ints (arithmetic mod 2^63, no
+   allocation), closed by a Moremur-style avalanche so that the per-entry
+   hashes behave like independent random words under addition. *)
+let mix_prime = 0x100000001b3
+
+let mix_int h n = (h lxor n) * mix_prime
+
+let mix_string h s =
+  let h = ref (mix_int h (String.length s)) in
+  for i = 0 to String.length s - 1 do
+    h := mix_int !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
+
+let avalanche h =
+  let h = (h lxor (h lsr 27)) * 0x3c79ac492ba7b653 in
+  let h = (h lxor (h lsr 33)) * 0x1c69b3f74ac4ae35 in
+  h lxor (h lsr 27)
+
+(** Hash of one stored entry and the version of the gap following it. A
+    range digest sums these, so it does not depend on the order in which
+    the entries are visited. *)
+let entry_hash key version value gap_after =
+  let h = mix_string 0x0bf29ce484222325 key in
+  let h = mix_int h (Version.to_int version) in
+  let h = mix_string h value in
+  avalanche (mix_int h (Version.to_int gap_after))
+
+(* The range-boundary terms of a digest, tagged apart from each other and
+   (by their distinct seed) from entry hashes. *)
+let boundary_hash tag version value =
+  avalanche (mix_string (mix_int (mix_int 0x2545f4914f6cdd1d tag) (Version.to_int version)) value)
 
 let pp_sync_op ppf = function
   | Sync_put (k, v, _) -> Format.fprintf ppf "put %a:%a" Key.pp k Version.pp v
@@ -174,6 +216,15 @@ module type BASE = sig
   (** Number of entries [e] with [lo < e < hi]; the paper's "entries in
       ranges coalesced" statistic counts these. *)
 
+  val summary_between : t -> lo:Bound.t -> hi:Bound.t -> summary
+  (** Sum of {!entry_hash} and count over the entries strictly between the
+      bounds; zero when the range is empty. *)
+
+  val key_at_rank : t -> lo:Bound.t -> hi:Bound.t -> int -> Key.t
+  (** [key_at_rank t ~lo ~hi i] is the key of the [i]-th (from 0) entry
+      strictly between the bounds, ascending. Raises [Invalid_argument] if
+      there is no such entry. *)
+
   val entries_between : t -> lo:Bound.t -> hi:Bound.t -> (Key.t * Version.t * value * Version.t) list
   (** Entries strictly between the bounds, ascending, each with the version
       of the gap that follows it. Used by transaction undo (a coalesce must
@@ -191,8 +242,6 @@ end
 (** Anti-entropy operations, derived once from {!BASE} so the reference and
     B+tree implementations share the (subtle) merge logic byte for byte. *)
 module Sync_ops (M : BASE) = struct
-  module C = Repdir_util.Checksum
-
   let check_range ~what lo hi =
     if Bound.compare lo hi >= 0 then
       invalid_arg (Printf.sprintf "Gapmap.%s: lo >= hi" what)
@@ -209,87 +258,43 @@ module Sync_ops (M : BASE) = struct
         | Present { version; value } -> Hi_entry (version, value)
         | Absent { gap_version } -> Hi_absent gap_version)
 
-  let digest_range m ~lo ~hi =
+  (* One derivation for both digest forms. The [interior] form leaves out
+     the version of the gap immediately above [lo]. That gap can physically
+     extend below [lo] (nothing pins an entry at an arbitrary range
+     boundary), so its version is shared with — and bumped by — deletions
+     outside [(lo, hi]]. A convergence gate over a frozen slice must not
+     depend on it: the slice's entries and its interior absence proofs are
+     frozen, the boundary gap's version is not. *)
+  let digest_range ?(interior = false) m ~lo ~hi =
     check_range ~what:"digest_range" lo hi;
-    let h = ref (C.int C.init (Version.to_int (gap_above m lo))) in
-    let n = ref 0 in
-    let fold_entry k v value g =
-      incr n;
-      let ks = Key.to_string k in
-      h := C.int !h (String.length ks);
-      h := C.string !h ks;
-      h := C.int !h (Version.to_int v);
-      h := C.int !h (String.length value);
-      h := C.string !h value;
-      h := C.int !h (Version.to_int g)
+    let inside = M.summary_between m ~lo ~hi in
+    let low = if interior then 0 else boundary_hash 0 (gap_above m lo) "" in
+    let hi_hash, hi_entries =
+      match hi_state_of m hi with
+      | Hi_sentinel -> (boundary_hash 1 Version.lowest "", 0)
+      | Hi_entry (v, value) -> (boundary_hash 2 v value, 1)
+      | Hi_absent g -> (boundary_hash 3 g "", 0)
     in
-    List.iter (fun (k, v, value, g) -> fold_entry k v value g) (M.entries_between m ~lo ~hi);
-    (match hi_state_of m hi with
-    | Hi_sentinel -> h := C.int !h 0
-    | Hi_entry (v, value) ->
-        incr n;
-        h := C.int !h 1;
-        h := C.int !h (Version.to_int v);
-        h := C.int !h (String.length value);
-        h := C.string !h value
-    | Hi_absent g ->
-        h := C.int !h 2;
-        h := C.int !h (Version.to_int g));
-    { hash = !h; n_entries = !n }
+    {
+      hash = Int64.of_int (low + inside.s_sum + hi_hash);
+      n_entries = inside.s_count + hi_entries;
+    }
 
-  (* Like {!digest_range} but without the version of the gap immediately
-     above [lo]. That gap can physically extend below [lo] (nothing pins an
-     entry at an arbitrary range boundary), so its version is shared with —
-     and bumped by — deletions outside [(lo, hi]]. A convergence gate over a
-     frozen slice must not depend on it: the slice's entries and its interior
-     absence proofs are frozen, the boundary gap's version is not. *)
-  let digest_interior_range m ~lo ~hi =
-    check_range ~what:"digest_interior_range" lo hi;
-    let h = ref C.init in
-    let n = ref 0 in
-    let fold_entry k v value g =
-      incr n;
-      let ks = Key.to_string k in
-      h := C.int !h (String.length ks);
-      h := C.string !h ks;
-      h := C.int !h (Version.to_int v);
-      h := C.int !h (String.length value);
-      h := C.string !h value;
-      h := C.int !h (Version.to_int g)
-    in
-    List.iter (fun (k, v, value, g) -> fold_entry k v value g) (M.entries_between m ~lo ~hi);
-    (match hi_state_of m hi with
-    | Hi_sentinel -> h := C.int !h 0
-    | Hi_entry (v, value) ->
-        incr n;
-        h := C.int !h 1;
-        h := C.int !h (Version.to_int v);
-        h := C.int !h (String.length value);
-        h := C.string !h value
-    | Hi_absent g ->
-        h := C.int !h 2;
-        h := C.int !h (Version.to_int g));
-    { hash = !h; n_entries = !n }
-
+  (* The cut before the entry of rank [i * n / arity] for each [i] in
+     [1, arity), duplicates dropped. *)
   let split_range m ~lo ~hi ~arity =
     check_range ~what:"split_range" lo hi;
     if arity < 2 then invalid_arg "Gapmap.split_range: arity must be >= 2";
-    let keys =
-      Array.of_list (List.map (fun (k, _, _, _) -> k) (M.entries_between m ~lo ~hi))
-    in
-    let n = Array.length keys in
-    if n < 2 then []
-    else begin
-      let picks = ref [] in
-      for i = arity - 1 downto 1 do
-        let idx = i * n / arity in
-        if idx > 0 && idx < n then
-          match !picks with
-          | Bound.Key k :: _ when Key.equal k keys.(idx) -> ()
-          | _ -> picks := Bound.Key keys.(idx) :: !picks
-      done;
-      !picks
-    end
+    let n = (M.summary_between m ~lo ~hi).s_count in
+    let picks = ref [] and last = ref 0 in
+    for i = arity - 1 downto 1 do
+      let idx = i * n / arity in
+      if idx > 0 && idx <> !last then begin
+        last := idx;
+        picks := Bound.Key (M.key_at_rank m ~lo ~hi idx) :: !picks
+      end
+    done;
+    !picks
 
   let pull_range m ~lo ~hi =
     check_range ~what:"pull_range" lo hi;
@@ -471,20 +476,20 @@ end
 module type SYNC = sig
   type t
 
-  val digest_range : t -> lo:Bound.t -> hi:Bound.t -> digest
-  (** Digest of the map's state over [(lo, hi]]; O(entries in the range).
-      Raises [Invalid_argument] if [lo >= hi]. *)
-
-  val digest_interior_range : t -> lo:Bound.t -> hi:Bound.t -> digest
-  (** Like {!digest_range} but excluding the version of the gap immediately
-      above [lo], which can be shared with (and concurrently bumped by)
-      deletions below [lo]. Used by convergence gates over frozen slices
-      whose low boundary falls inside a live gap. *)
+  val digest_range : ?interior:bool -> t -> lo:Bound.t -> hi:Bound.t -> digest
+  (** Digest of the map's state over [(lo, hi]]: one range summary and
+      two point lookups, so O(log n) on the B+tree. [~interior:true] leaves
+      out the version of the gap immediately above [lo], which can be shared
+      with (and concurrently bumped by) deletions below [lo]; convergence
+      gates over frozen slices whose low boundary falls inside a live gap
+      compare that form. Raises [Invalid_argument] if [lo >= hi]. *)
 
   val split_range : t -> lo:Bound.t -> hi:Bound.t -> arity:int -> Bound.t list
   (** Up to [arity - 1] distinct interior entry keys cutting the range into
-      roughly entry-equal sub-ranges, ascending; [[]] when the range holds
-      fewer than two entries. Raises [Invalid_argument] if [arity < 2]. *)
+      roughly entry-equal sub-ranges, ascending: the keys of rank
+      [i * n / arity] among the [n] entries inside; [[]] when the range
+      holds fewer than two entries. O(arity log n) on the B+tree. Raises
+      [Invalid_argument] if [arity < 2]. *)
 
   val pull_range : t -> lo:Bound.t -> hi:Bound.t -> transfer
   (** Everything this map knows about [(lo, hi]]. *)

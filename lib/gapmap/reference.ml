@@ -127,20 +127,34 @@ let gaps t =
   in
   go Bound.Low t.low_gap t.items
 
-let count_strictly_between t ~lo ~hi =
-  List.length
-    (List.filter
-       (fun s ->
-         Bound.compare lo (Bound.Key s.key) < 0 && Bound.compare (Bound.Key s.key) hi < 0)
-       t.items)
+let between ~lo ~hi s =
+  Bound.compare lo (Bound.Key s.key) < 0 && Bound.compare (Bound.Key s.key) hi < 0
+
+let count_strictly_between t ~lo ~hi = List.length (List.filter (between ~lo ~hi) t.items)
 
 let entries_between t ~lo ~hi =
   List.filter_map
-    (fun s ->
-      if Bound.compare lo (Bound.Key s.key) < 0 && Bound.compare (Bound.Key s.key) hi < 0
-      then Some (s.key, s.version, s.value, s.gap_after)
-      else None)
+    (fun s -> if between ~lo ~hi s then Some (s.key, s.version, s.value, s.gap_after) else None)
     t.items
+
+(* Hashes are recomputed on every call: the model caches nothing, so it
+   checks the B+tree's cached sums rather than sharing their bugs. *)
+let summary_between t ~lo ~hi =
+  List.fold_left
+    (fun acc s ->
+      if between ~lo ~hi s then
+        {
+          s_sum = acc.s_sum + entry_hash s.key s.version s.value s.gap_after;
+          s_count = acc.s_count + 1;
+        }
+      else acc)
+    { s_sum = 0; s_count = 0 } t.items
+
+let key_at_rank t ~lo ~hi i =
+  match List.nth_opt (List.filter (between ~lo ~hi) t.items) i with
+  | Some s -> s.key
+  | None -> invalid_arg "Gapmap.key_at_rank: rank out of range"
+  | exception Invalid_argument _ -> invalid_arg "Gapmap.key_at_rank: rank out of range"
 
 let check_invariants t =
   let rec ordered = function
@@ -177,6 +191,8 @@ include Gapmap_intf.Sync_ops (struct
   let gaps = gaps
   let count_strictly_between = count_strictly_between
   let entries_between = entries_between
+  let summary_between = summary_between
+  let key_at_rank = key_at_rank
   let check_invariants = check_invariants
   let pp = pp
 end)

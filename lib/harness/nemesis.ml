@@ -1370,7 +1370,7 @@ let apply_shard_step world action =
    - sliced {!Sync.session_between} hub rounds copy the slice into the
      target group (and converge the source group's own replicas on it),
      until the digest gate — every replica of both groups reports the same
-     {!Rep.digest_interior_range} over the slice — passes;
+     interior {!Rep.digest_range} over the slice — passes;
    - {!Shard_map.finish_move} lands the slice on the target group; the new
      epoch is installed on the source group FIRST (fencing the stale readers
      still routed there), then the target, then broadcast to everyone at
@@ -1508,7 +1508,7 @@ let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 
              session). The fence freezes everything the flip hands over —
              entries and interior absence proofs — and that is exactly what
              this digest covers. *)
-          let d = Rep.digest_interior_range rep ~txn ~lo:slice_lo ~hi:slice_hi in
+          let d = Rep.digest_range ~interior:true rep ~txn ~lo:slice_lo ~hi:slice_hi in
           Rep.abort rep ~txn;
           d)
     in

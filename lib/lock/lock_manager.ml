@@ -58,6 +58,22 @@ let can_grant t ~txn mode range ~queue_prefix =
 
 let would_block t ~txn mode range = not (can_grant t ~txn mode range ~queue_prefix:t.queue)
 
+(* A request inside a range the transaction already holds in the same mode,
+   with no waiter queued. Granted locks of different transactions never
+   conflict, so such a request would be granted; recording it again would
+   add nothing the release could not already undo. Skipping the record
+   keeps [granted] short for a transaction that locks many nested
+   sub-ranges, as an anti-entropy walk does, and every grant check scans
+   that list. *)
+let covered t ~txn mode (range : Bound.Interval.t) =
+  t.queue = []
+  && List.exists
+       (fun g ->
+         g.g_txn = txn && Mode.equal g.g_mode mode
+         && Bound.Interval.contains g.g_range range.lo
+         && Bound.Interval.contains g.g_range range.hi)
+       t.granted
+
 (* Transactions the given request would wait for: holders of conflicting
    granted locks plus conflicting earlier waiters. *)
 let blockers t ~txn mode range ~queue_prefix =
@@ -161,7 +177,8 @@ let acquire t ~txn ?(on_drop = ignore) mode range ~on_grant =
         ];
     Waiting
   in
-  if can_grant t ~txn mode range ~queue_prefix:t.queue then begin
+  if covered t ~txn mode range then Granted
+  else if can_grant t ~txn mode range ~queue_prefix:t.queue then begin
     t.granted <- { g_txn = txn; g_mode = mode; g_range = range } :: t.granted;
     Granted
   end

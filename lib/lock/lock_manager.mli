@@ -76,7 +76,9 @@ val acquire :
     {!release_all} on its own transaction — the path taken when a lease
     expiry or in-doubt resolution terminates a transaction that has an
     operation suspended in the queue. Exactly one of the two callbacks ever
-    fires for a waiting request. *)
+    fires for a waiting request. A request that falls inside a range the
+    transaction already holds in the same mode, while nothing is queued,
+    returns [Granted] without adding a second lock record. *)
 
 val reacquire : t -> txn:txn_id -> Mode.t -> Bound.Interval.t -> unit
 (** Force-grant without queueing or deadlock detection: crash recovery

@@ -679,17 +679,11 @@ let coalesce t ~txn ~lo ~hi version =
 
 module Gm = Repdir_gapmap.Gapmap_intf
 
-let digest_range t ~txn ~lo ~hi =
+let digest_range ?interior t ~txn ~lo ~hi =
   check_txn_open ~cls:`Maintenance t ~txn;
   t.counters.digests <- t.counters.digests + 1;
   lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make lo hi);
-  Btree.digest_range t.map ~lo ~hi
-
-let digest_interior_range t ~txn ~lo ~hi =
-  check_txn_open ~cls:`Maintenance t ~txn;
-  t.counters.digests <- t.counters.digests + 1;
-  lock_blocking t ~txn Mode.Rep_lookup (Bound.Interval.make lo hi);
-  Btree.digest_interior_range t.map ~lo ~hi
+  Btree.digest_range ?interior t.map ~lo ~hi
 
 let split_range t ~txn ~lo ~hi ~arity =
   check_txn_open ~cls:`Maintenance t ~txn;

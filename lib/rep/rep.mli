@@ -265,19 +265,20 @@ val coalesce :
 (* --- anti-entropy endpoints ------------------------------------------------- *)
 
 val digest_range :
-  t -> txn:Repdir_txn.Txn.id -> lo:Bound.t -> hi:Bound.t -> Gapmap_intf.digest
+  ?interior:bool ->
+  t ->
+  txn:Repdir_txn.Txn.id ->
+  lo:Bound.t ->
+  hi:Bound.t ->
+  Gapmap_intf.digest
 (** Digest of this representative's state over [(lo, hi]], under a
     RepLookup(lo, hi) lock — concurrent modifications of the range are
-    serialized against the sync transaction. *)
-
-val digest_interior_range :
-  t -> txn:Repdir_txn.Txn.id -> lo:Bound.t -> hi:Bound.t -> Gapmap_intf.digest
-(** Like {!digest_range} but excluding the version of the gap immediately
-    above [lo] (RepLookup lock). That gap can extend below [lo], so its
-    version moves with deletions outside the range; convergence gates over a
-    write-fenced slice compare this digest instead, since the fence freezes
-    the slice's entries and interior gaps but not the shared boundary
-    gap. *)
+    serialized against the sync transaction. [~interior:true] excludes the
+    version of the gap immediately above [lo]. That gap can extend below
+    [lo], so its version moves with deletions outside the range;
+    convergence gates over a write-fenced slice compare this form, since
+    the fence freezes the slice's entries and interior gaps but not the
+    shared boundary gap. *)
 
 val split_range :
   t -> txn:Repdir_txn.Txn.id -> lo:Bound.t -> hi:Bound.t -> arity:int -> Bound.t list

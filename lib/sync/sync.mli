@@ -5,8 +5,9 @@
     that misses writes during a partition stays out of date indefinitely.
     This actor closes that gap: it periodically picks a pair of
     representatives and reconciles them by comparing hierarchical range
-    digests (an FNV-1a fold of entry and gap version numbers over a key
-    range, served by {!Repdir_rep.Rep.digest_range}), recursing only into
+    digests (a sum of per-entry hashes of keys, values, entry and gap
+    versions over a key range, served in O(log n) by
+    {!Repdir_rep.Rep.digest_range}), recursing only into
     mismatched sub-ranges, and transferring just the diverged ranges —
     O(diff) entries moved in O(log n) digest rounds, not a full copy.
 

@@ -1,18 +1,9 @@
-let init = 0xcbf29ce484222325L
-let prime = 0x100000001b3L
-
-let byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) prime
-
-let string h s =
-  let h = ref h in
-  String.iter (fun c -> h := byte !h (Char.code c)) s;
-  !h
-
-let int h n =
-  let h = ref h in
-  for shift = 0 to 7 do
-    h := byte !h ((n lsr (shift * 8)) land 0xff)
+(* An index loop over a local int64: the compiler keeps the running hash
+   unboxed, so a call allocates only its boxed result. *)
+let fnv1a s =
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to String.length s - 1 do
+    let byte = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
   done;
   !h
-
-let fnv1a s = string init s

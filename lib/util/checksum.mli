@@ -1,21 +1,9 @@
 (** FNV-1a 64-bit hashing.
 
-    One checksum for the whole system: the write-ahead log frames its records
-    with it, and the anti-entropy layer folds it over gap-map ranges to build
-    digests. FNV-1a is not cryptographic; it is a fast, well-distributed
-    64-bit fold, which is what both users need (storage faults and replica
-    divergence are accidents, not adversaries). *)
-
-val init : int64
-(** The FNV-1a offset basis; start every fold here. *)
-
-val string : int64 -> string -> int64
-(** Fold a string's bytes into a running hash. *)
-
-val int : int64 -> int -> int64
-(** Fold a native int (as 8 little-endian bytes) into a running hash.
-    Folding the value rather than its decimal rendering keeps version-number
-    hashing allocation-free. *)
+    The write-ahead log frames its records with it. FNV-1a is not
+    cryptographic; it is a fast, well-distributed 64-bit fold, which is what
+    framing needs (storage faults are accidents, not adversaries). *)
 
 val fnv1a : string -> int64
-(** [string init s] — the one-shot form used for log frames. *)
+(** The standard FNV-1a 64 hash of a string's bytes. Allocates only its
+    boxed result. *)

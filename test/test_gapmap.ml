@@ -313,7 +313,38 @@ let run_model_program ~branching ~seed ~ops =
         G.Reference.count_strictly_between reference ~lo ~hi
         <> G.Btree.count_strictly_between btree ~lo ~hi
       then failwith (Printf.sprintf "count diverges at step %d" step)
-    end
+    end;
+    (* Digests (both forms) and split cuts agree on the whole key space and
+       on a random range that may end at a sentinel: the B+tree answers them
+       from cached subtree sums, the reference by folding its list. *)
+    let x = random_bound () and y = random_bound () in
+    let ranges =
+      (Bound.Low, Bound.High)
+      :: (match Bound.compare x y with
+         | c when c < 0 -> [ (x, y) ]
+         | c when c > 0 -> [ (y, x) ]
+         | _ -> [])
+    in
+    List.iter
+      (fun (lo, hi) ->
+        List.iter
+          (fun interior ->
+            if
+              G.Reference.digest_range ~interior reference ~lo ~hi
+              <> G.Btree.digest_range ~interior btree ~lo ~hi
+            then
+              failwith
+                (Format.asprintf "digest_range ~interior:%b (%a, %a] diverges at step %d" interior
+                   Bound.pp lo Bound.pp hi step))
+          [ false; true ];
+        if
+          G.Reference.split_range reference ~lo ~hi ~arity:4
+          <> G.Btree.split_range btree ~lo ~hi ~arity:4
+        then
+          failwith
+            (Format.asprintf "split_range (%a, %a] diverges at step %d" Bound.pp lo Bound.pp hi
+               step))
+      ranges
   in
   for step = 1 to ops do
     (match Repdir_util.Rng.int rng 6 with

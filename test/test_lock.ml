@@ -72,6 +72,23 @@ let test_same_txn_reentrant () =
   Alcotest.check outcome_testable "own second modify" Granted
     (acquire m 1 Rep_modify (iv "b" "c"))
 
+(* Nested re-locking in the same mode adds no lock record while nothing is
+   queued, and still protects the range; with a waiter queued the request
+   takes the ordinary path. *)
+let test_covered_relock () =
+  let m = Lock_manager.create () in
+  Alcotest.check outcome_testable "outer lookup" Granted (acquire m 1 Rep_lookup (iv "a" "z"));
+  for _ = 1 to 3 do
+    Alcotest.check outcome_testable "nested lookup" Granted (acquire m 1 Rep_lookup (iv "c" "d"))
+  done;
+  Alcotest.(check int) "one record" 1 (Lock_manager.granted_count m);
+  Alcotest.check outcome_testable "other txn's modify inside waits" Waiting
+    (acquire m 2 Rep_modify (iv "c" "c"));
+  Alcotest.check outcome_testable "nested lookup behind a conflicting waiter" (Deadlock [])
+    (acquire m 1 Rep_lookup (iv "c" "d"));
+  Lock_manager.release_all m ~txn:1;
+  Alcotest.(check int) "waiter granted on release" 1 (Lock_manager.granted_count m)
+
 let test_point_ranges () =
   let m = Lock_manager.create () in
   Alcotest.check outcome_testable "t1 point" Granted
@@ -344,6 +361,7 @@ let () =
           Alcotest.test_case "lookup blocks modify" `Quick test_lookup_blocks_modify;
           Alcotest.test_case "same txn reentrant" `Quick test_same_txn_reentrant;
           Alcotest.test_case "point ranges" `Quick test_point_ranges;
+          Alcotest.test_case "covered re-lock adds no record" `Quick test_covered_relock;
         ] );
       ( "queue",
         [

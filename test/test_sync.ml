@@ -160,6 +160,72 @@ let test_digest_sensitivity () =
   mutated "fresh insert" (fun m -> G.Btree.insert m (Key.of_int 999) 1 "x");
   mutated "entry removal" (fun m -> ignore (G.Btree.remove m k))
 
+(* Range sensitivity on a deep tree (branching 4, 60 entries at the even
+   keys 0..118, entry [2i] at version [i + 1] with value ["v<i>"]), over
+   [(lo, 80]] for [lo] the entry 20 and for [lo] the absent key 21. Either
+   way the low-boundary gap is the one after entry 20. *)
+let test_digest_range_sensitivity () =
+  let build () =
+    let m = G.Btree.create_with ~branching:4 () in
+    for i = 0 to 59 do
+      G.Btree.insert m (Key.of_int (2 * i)) (i + 1) (Printf.sprintf "v%d" i)
+    done;
+    m
+  in
+  let at i = Key.of_int i in
+  let hi = Bound.Key (at 80) in
+  List.iter
+    (fun lo_int ->
+      let lo = Bound.Key (at lo_int) in
+      let digest ~interior m = G.Btree.digest_range ~interior m ~lo ~hi in
+      let base = digest ~interior:false (build ()) in
+      let base_interior = digest ~interior:true (build ()) in
+      let expect name f ~full ~interior =
+        let m = build () in
+        f m;
+        check_inv name (G.Btree.check_invariants m);
+        let name = Printf.sprintf "lo=%d %s" lo_int name in
+        Alcotest.(check bool)
+          (name ^ ": digest changes")
+          full
+          (digest ~interior:false m <> base);
+        Alcotest.(check bool)
+          (name ^ ": interior digest changes")
+          interior
+          (digest ~interior:true m <> base_interior)
+      in
+      (* Swapping the values of two entries keeps the multiset of values. *)
+      expect "value swap" ~full:true ~interior:true (fun m ->
+          G.Btree.insert m (at 30) 16 "v20";
+          G.Btree.insert m (at 40) 21 "v15");
+      (* A gap raise anywhere inside (lo, hi]; only the low-boundary gap
+         (after entry 20) is invisible to the interior form. *)
+      for i = 10 to 39 do
+        expect
+          (Printf.sprintf "raise gap after %d" (2 * i))
+          ~full:true
+          ~interior:(i <> 10)
+          (fun m -> G.Btree.set_gap_after m (Bound.Key (at (2 * i))) 9999)
+      done;
+      expect "entry version bump" ~full:true ~interior:true (fun m ->
+          G.Btree.insert m (at 50) 999 "v25");
+      expect "value change" ~full:true ~interior:true (fun m -> G.Btree.insert m (at 50) 26 "w");
+      expect "fresh insert" ~full:true ~interior:true (fun m -> G.Btree.insert m (at 51) 1 "x");
+      expect "entry removal" ~full:true ~interior:true (fun m ->
+          ignore (G.Btree.remove m (at 50)));
+      expect "hi entry bump" ~full:true ~interior:true (fun m ->
+          G.Btree.insert m (at 80) 999 "v40");
+      (* Outside (lo, hi] nothing counts, in either form. *)
+      expect "gap below lo" ~full:false ~interior:false (fun m ->
+          G.Btree.set_gap_after m (Bound.Key (at 18)) 9999);
+      expect "entry below lo" ~full:false ~interior:false (fun m ->
+          G.Btree.insert m (at 10) 999 "z");
+      expect "gap after hi" ~full:false ~interior:false (fun m ->
+          G.Btree.set_gap_after m (Bound.Key (at 80)) 9999);
+      expect "entry above hi" ~full:false ~interior:false (fun m ->
+          G.Btree.insert m (at 81) 1 "x"))
+    [ 20; 21 ]
+
 (* --- merge safety ----------------------------------------------------------------- *)
 
 (* A common prefix of [base] ops, then [da] ops only A sees, then [db] ops
@@ -461,6 +527,8 @@ let () =
           QCheck_alcotest.to_alcotest impl_agreement;
           Alcotest.test_case "function of state" `Quick test_digest_is_a_function_of_state;
           Alcotest.test_case "sensitivity" `Quick test_digest_sensitivity;
+          Alcotest.test_case "range sensitivity, both forms" `Quick
+            test_digest_range_sensitivity;
         ] );
       ( "merge",
         [

@@ -249,6 +249,27 @@ let test_table_too_long_row () =
     (Invalid_argument "Table.add_row: more cells than header columns") (fun () ->
       Table.add_row t [ "x"; "y" ])
 
+(* --- checksum ------------------------------------------------------------------- *)
+
+(* The published FNV-1a 64 test vectors: WAL frames written by any build
+   must verify under any other. *)
+let test_fnv1a_vectors () =
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check string) (Printf.sprintf "%S" s) h (Printf.sprintf "%016Lx" (Checksum.fnv1a s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+let test_fnv1a_allocation () =
+  let s = String.make 64 'x' in
+  let calls = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Checksum.fnv1a s))
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  (* The boxed int64 result is three words; a per-byte box would be ~200. *)
+  Alcotest.(check bool) (Printf.sprintf "%.1f words/call <= 8" per_call) true (per_call <= 8.0)
+
 let () =
   Alcotest.run "util"
     [
@@ -291,5 +312,10 @@ let () =
           Alcotest.test_case "alignment" `Quick test_table_alignment;
           Alcotest.test_case "short row padded" `Quick test_table_short_row_padded;
           Alcotest.test_case "too long row" `Quick test_table_too_long_row;
+        ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "fnv1a-64 vectors" `Quick test_fnv1a_vectors;
+          Alcotest.test_case "fnv1a allocates only its result" `Quick test_fnv1a_allocation;
         ] );
     ]
