@@ -232,22 +232,20 @@ let shard_suffix t =
    reconfiguration adds 2). *)
 let cache_epoch t = epoch t lor (shard_epoch t lsl 20)
 
-let cache_sync_epoch t =
+(* Also the router's eager-flush hook when it adopts a newer shard map:
+   [find] and [store] would flush lazily anyway (they compare the line
+   epoch), but a migrated range must never even *hold* lines cached under
+   the old owning group once the router knows about the move. *)
+let sync_cache_epoch t =
   match t.cache with
   | None -> ()
   | Some c -> Cache.sync_epoch c ~epoch:(cache_epoch t)
-
-(* The router's eager-flush hook when it adopts a newer shard map: [find]
-   and [store] would flush lazily anyway (they compare the line epoch), but
-   a migrated range must never even *hold* lines cached under the old
-   owning group once the router knows about the move. *)
-let sync_cache_epoch = cache_sync_epoch
 
 let set_membership t m =
   if Config.n_reps (Member.current m).Member.config <> t.transport.Transport.n_reps then
     invalid_arg "Suite.set_membership: record and transport disagree on slot count";
   t.membership <- Some m;
-  cache_sync_epoch t
+  sync_cache_epoch t
 
 (* Adopt the configuration a fencing representative handed back — but only
    forward: a delayed rejection must never roll the suite's view back. *)
@@ -259,11 +257,10 @@ let adopt t record =
       | Some cur when Member.epoch_of cur >= Member.epoch_of m -> ()
       | Some _ | None ->
           t.membership <- Some m;
-          cache_sync_epoch t)
+          sync_cache_epoch t)
 
 let transport t = t.transport
 let coordinator t = t.coordinator
-let batching t = t.batching
 let sync t = t.sync
 let hedged_count t = t.hedged
 let cache t = t.cache
@@ -361,13 +358,6 @@ module Wire = struct
 
   let value v = String.length v + 4
 
-  let lookup_r = function
-    | Gi.Present { value = v; _ } -> 1 + ver + value v
-    | Gi.Absent _ -> 1 + ver
-
-  let neighbor (n : Gi.neighbor) = bound n.Gi.key + ver + ver
-  let chain ns = List.fold_left (fun a n -> a + neighbor n) 1 ns
-
   let op = function
     | Rep.B_lookup b | Rep.B_validate b | Rep.B_predecessor b | Rep.B_successor b ->
         1 + bound b
@@ -378,11 +368,14 @@ module Wire = struct
     | Rep.B_prepare _ -> 1 + 4
     | Rep.B_finish_readonly -> 1
 
-  let result = function
-    | Rep.R_lookup l -> lookup_r l
+  let result r =
+    let neighbor (n : Gi.neighbor) = bound n.Gi.key + ver + ver in
+    match r with
+    | Rep.R_lookup (Gi.Present { value = v; _ }) -> 1 + ver + value v
+    | Rep.R_lookup (Gi.Absent _) -> 1 + ver
     | Rep.R_tag _ -> tag
     | Rep.R_neighbor n -> neighbor n
-    | Rep.R_chain ns -> chain ns
+    | Rep.R_chain ns -> List.fold_left (fun a n -> a + neighbor n) 1 ns
     | Rep.R_unit | Rep.R_inserted _ | Rep.R_finished _ -> 1
     | Rep.R_removed _ -> 4
 
@@ -484,6 +477,13 @@ let session_of ctx =
       Hashtbl.replace t.touched ctx.txn s;
       s
 
+(* [seen] is the incarnation [call] found before sending, which equals the
+   one the session recorded at first contact (anything else raised before
+   the send), and that entry is never rewritten: comparing the current
+   incarnation against [seen] is the whole post-call restart check. *)
+let same_incarnation t i seen =
+  if t.transport.Transport.incarnation i <> seen then raise (restarted i)
+
 let call ctx i f =
   let t = ctx.suite in
   (* Epoch fencing: stamp the request with the suite's current membership
@@ -536,11 +536,6 @@ let call ctx i f =
   | None -> Hashtbl.replace s.incarnations i seen
   | Some first when first <> seen -> raise (restarted i)
   | Some _ -> ());
-  let check_same_incarnation () =
-    match Hashtbl.find_opt s.incarnations i with
-    | Some first when t.transport.Transport.incarnation i <> first -> raise (restarted i)
-    | _ -> ()
-  in
   (* Ride any deferred termination notices for this representative on the
      message we are sending anyway (commit pipelining): they are applied
      server-side before the operation, so locks they release are available
@@ -559,21 +554,22 @@ let call ctx i f =
       (* The participant may have restarted while the call was in flight: an
          at-most-once retransmission then re-executed against an amnesiac
          incarnation that knows nothing of the transaction's earlier ops. *)
-      check_same_incarnation ();
+      same_incarnation t i seen;
       r
   | exception (Transport.Rpc_failed _ as e) ->
       requeue_notices t i notices;
-      check_same_incarnation ();
+      same_incarnation t i seen;
       raise e
   | exception e ->
       (* Same window: a re-execution against post-recovery state can fail in
          arbitrary ways (missing endpoints, spurious lock conflicts). The
          restart, not the symptom, is the real error. *)
-      check_same_incarnation ();
+      same_incarnation t i seen;
       raise e
 
 (* One message, many representative ops (the §4 observation that calls
-   "batch into few messages"). *)
+   "batch into few messages"). This is the suite's only way to put work on
+   a representative: an unbatched round simply sends one op per message. *)
 let exec ctx i ops =
   let t = ctx.suite in
   acct t (Wire.msg (Wire.ops ops));
@@ -581,63 +577,7 @@ let exec ctx i ops =
   acct t (Wire.msg (Wire.results rs));
   rs
 
-(* Direct (unbatched) representative calls, wrapped so every site charges its
-   request and reply to the byte model. *)
-let rep_lookup ctx i bound =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.op (Rep.B_lookup bound)));
-  let r = call ctx i (fun rep -> Rep.lookup rep ~txn:ctx.txn bound) in
-  acct t (Wire.msg (Wire.lookup_r r));
-  r
-
-let rep_validate ctx i bound =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.op (Rep.B_validate bound)));
-  let r =
-    call ctx i (fun rep ->
-        match Rep.validate_versions rep ~txn:ctx.txn [ bound ] with
-        | [ t ] -> t
-        | _ -> assert false)
-  in
-  acct t (Wire.msg Wire.tag);
-  r
-
-let rep_neighbor ctx i ~pred bound =
-  let t = ctx.suite in
-  acct t
-    (Wire.msg (Wire.op (if pred then Rep.B_predecessor bound else Rep.B_successor bound)));
-  let r =
-    call ctx i (fun rep ->
-        if pred then Rep.predecessor rep ~txn:ctx.txn bound
-        else Rep.successor rep ~txn:ctx.txn bound)
-  in
-  acct t (Wire.msg (Wire.neighbor r));
-  r
-
-let rep_chain ctx i ~pred bound ~depth =
-  let t = ctx.suite in
-  acct t
-    (Wire.msg
-       (Wire.op
-          (if pred then Rep.B_predecessor_chain (bound, depth)
-           else Rep.B_successor_chain (bound, depth))));
-  let r =
-    call ctx i (fun rep ->
-        if pred then Rep.predecessor_chain rep ~txn:ctx.txn bound ~depth
-        else Rep.successor_chain rep ~txn:ctx.txn bound ~depth)
-  in
-  acct t (Wire.msg (Wire.chain r));
-  r
-
-let rep_insert ctx i key ver value =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.op (Rep.B_insert (key, ver, value))) + Wire.msg 1);
-  call ctx i (fun rep -> Rep.insert rep ~txn:ctx.txn key ver value)
-
-let rep_coalesce ctx i ~lo ~hi ver =
-  let t = ctx.suite in
-  acct t (Wire.msg (Wire.op (Rep.B_coalesce (lo, hi, ver))) + Wire.msg 4);
-  call ctx i (fun rep -> Rep.coalesce rep ~txn:ctx.txn ~lo ~hi ver)
+let exec1 ctx i op = match exec ctx i [ op ] with [ r ] -> r | _ -> assert false
 
 let available ctx i =
   ctx.suite.transport.Transport.is_up i && not (Int_set.mem i ctx.excluded)
@@ -771,22 +711,61 @@ let hedged_fanout ctx quorum callf =
       | Some _ | None -> fanout ctx callf quorum)
   | _ -> fanout ctx callf quorum
 
+(* Members that settled their part of the transaction in-round: released by
+   a piggybacked [B_finish_readonly], or holding the yes vote of a
+   piggybacked [B_prepare]. The termination rounds skip both. *)
+let note_finished ctx i =
+  let s = session_of ctx in
+  s.finished <- Int_set.add i s.finished
+
+let note_prepared ctx i =
+  let s = session_of ctx in
+  s.prepared <- Int_set.add i s.prepared
+
+(* The two-phase-commit prepare a batched implicit transaction piggybacks on
+   its final work round (last-round optimization), so the explicit prepare
+   round disappears; empty in every other case. A piggybacked vote that
+   fails raises out of the batch and aborts the transaction, exactly as a
+   failed explicit prepare would. *)
+let piggyback ctx =
+  let t = ctx.suite in
+  if t.batching && ctx.final && t.two_phase then
+    [ Rep.B_prepare (Coordinator.id t.coordinator) ]
+  else []
+
+(* The quorum read rule: believe the reply with the highest version number —
+   an entry's own version, or an absent key's gap version — the first
+   maximal reply in quorum order winning ties. Every quorum read folds its
+   replies with this, starting from [no_reply]. *)
+let no_reply = (false, Version.lowest - 1, "")
+
+let best_reply ((_, bestv, _) as best) = function
+  | Gi.Present { version; value } when version > bestv -> (true, version, value)
+  | Gi.Absent { gap_version } when gap_version > bestv -> (false, gap_version, "")
+  | Gi.Present _ | Gi.Absent _ -> best
+
 (* Send DirRepLookup to a read quorum; believe the highest version number.
    Works over bounds so the real-predecessor walk can look up LOW/HIGH,
-   which every representative reports present at the lowest version. *)
-let suite_lookup_payload ctx bound =
+   which every representative reports present at the lowest version.
+   [finishing] (batched single-operation transactions) sends the read-only
+   release in the same message: a member that grants it ([R_finished true])
+   is done with the transaction; refusals simply fall back to the normal
+   termination round. Only the plain read is hedged. *)
+let suite_lookup_payload ctx ~finishing bound =
   let quorum = collect_read_quorum ctx in
-  let replies = hedged_fanout ctx quorum (fun i -> rep_lookup ctx i bound) in
-  Array.fold_left
-    (fun ((_, bestv, _) as best) reply ->
-      let ((_, v, _) as candidate) =
-        match reply with
-        | Gi.Present { version; value } -> (true, version, value)
-        | Gi.Absent { gap_version } -> (false, gap_version, "")
-      in
-      if v > bestv then candidate else best)
-    (false, Version.lowest - 1, "")
-    replies
+  let ops = Rep.B_lookup bound :: (if finishing then [ Rep.B_finish_readonly ] else []) in
+  let read i =
+    match exec ctx i ops with
+    | [ Rep.R_lookup l ] -> l
+    | [ Rep.R_lookup l; Rep.R_finished fin ] ->
+        if fin then note_finished ctx i;
+        l
+    | _ -> assert false
+  in
+  let replies =
+    if finishing then fanout ctx read quorum else hedged_fanout ctx quorum read
+  in
+  Array.fold_left best_reply no_reply replies
 
 let line_of_result (isin, v, value) =
   if isin then Cache.Entry { version = v; value } else Cache.Gap { version = v }
@@ -818,7 +797,11 @@ let suite_lookup_validated ctx bound c =
   (* Pair every reply with the representative that actually produced it:
      under hedging the slow member's slot may carry the spare's tag, so a
      reply's position in [quorum] does not identify its source. *)
-  let replies = hedged_fanout ctx quorum (fun i -> (i, rep_validate ctx i bound)) in
+  let ops = [ Rep.B_validate bound ] in
+  let replies =
+    hedged_fanout ctx quorum (fun i ->
+        match exec ctx i ops with [ Rep.R_tag tag ] -> (i, tag) | _ -> assert false)
+  in
   let tags = Array.map snd replies in
   let _, tag = winning_tag tags in
   match tag with
@@ -856,183 +839,21 @@ let suite_lookup_validated ctx bound c =
                 | None -> quorum.(0))
             | _ -> if Array.length holders > 0 then holders.(0) else quorum.(0)
           in
-          match rep_lookup ctx source bound with
-          | Gi.Present { version = v'; value } when v' = v ->
+          match exec1 ctx source (Rep.B_lookup bound) with
+          | Rep.R_lookup (Gi.Present { version = v'; value }) when v' = v ->
               cache_stage t ctx.txn (C_store (bound, Cache.Entry { version = v'; value }));
               (true, v', value)
-          | Gi.Present _ | Gi.Absent _ ->
+          | Rep.R_lookup (Gi.Present _ | Gi.Absent _) ->
               (* The fetched copy contradicts the validated quorum — only
                  possible if source selection escaped the validation's lock
                  coverage (e.g. a hedge spare that answered for a slot but
                  lost a later race). Never serve it: fall back to the full
                  payload quorum read, whose own fold returns the committed
                  maximum, and cache that instead. *)
-              let r = suite_lookup_payload ctx bound in
+              let r = suite_lookup_payload ctx ~finishing:false bound in
               cache_stage t ctx.txn (C_store (bound, line_of_result r));
-              r))
-
-let suite_lookup_bound ctx bound =
-  match ctx.suite.cache with
-  | None -> suite_lookup_payload ctx bound
-  | Some c -> suite_lookup_validated ctx bound c
-
-(* --- RealPredecessor / RealSuccessor (Figure 12) ------------------------------- *)
-
-(* Walk downward (resp. upward) through candidate neighbours, skipping
-   ghosts, until a key current in the suite is found. Returns the neighbour,
-   its current version and value, and the largest gap version seen along the
-   walk — which dominates every version ever associated with any key in the
-   range, because each step consults a full read quorum. *)
-(* Batched walks (§4): each quorum member ships a chain of [depth]
-   successive neighbours per call; the walk consumes cached chain elements
-   and only re-calls a representative when its chain is exhausted. A chain
-   anchored at k0 lists *consecutive* entries of that representative, so for
-   any later probe k below the anchor, the first chain element below k is
-   exactly that representative's predecessor of k, and the element's
-   gap-after version is the gap containing (element, k). *)
-let pred_from_cache ctx depth i cache k =
-  let covered =
-    List.find_opt (fun (n : Gi.neighbor) -> Bound.compare n.Gi.key k < 0) !cache
-  in
-  match covered with
-  | Some n -> n
-  | None -> (
-      let chain = rep_chain ctx i ~pred:true k ~depth in
-      cache := chain;
-      match chain with n :: _ -> n | [] -> assert false)
-
-let succ_from_cache ctx depth i cache k =
-  let covered =
-    List.find_opt (fun (n : Gi.neighbor) -> Bound.compare n.Gi.key k > 0) !cache
-  in
-  match covered with
-  | Some n -> n
-  | None -> (
-      let chain = rep_chain ctx i ~pred:false k ~depth in
-      cache := chain;
-      match chain with n :: _ -> n | [] -> assert false)
-
-let real_predecessor_batched ctx depth x =
-  let quorum = collect_read_quorum ctx in
-  let maxv = ref Version.lowest in
-  (* Prefetch every member's first chain concurrently. *)
-  let caches =
-    fanout ctx
-      (fun i ->
-        (i, ref (rep_chain ctx i ~pred:true (Bound.Key x) ~depth)))
-      quorum
-  in
-  let rec walk k =
-    let pred = ref Bound.Low in
-    Array.iter
-      (fun (i, cache) ->
-        let n = pred_from_cache ctx depth i cache k in
-        pred := Bound.max n.Gi.key !pred;
-        maxv := Version.max n.Gi.gap_version !maxv)
-      caches;
-    let isin, pver, pvalue = suite_lookup_bound ctx !pred in
-    if isin then (!pred, pvalue, pver, !maxv) else walk !pred
-  in
-  walk (Bound.Key x)
-
-let real_successor_batched ctx depth x =
-  let quorum = collect_read_quorum ctx in
-  let maxv = ref Version.lowest in
-  let caches =
-    fanout ctx
-      (fun i ->
-        (i, ref (rep_chain ctx i ~pred:false (Bound.Key x) ~depth)))
-      quorum
-  in
-  let rec walk k =
-    let succ = ref Bound.High in
-    Array.iter
-      (fun (i, cache) ->
-        let n = succ_from_cache ctx depth i cache k in
-        succ := Bound.min n.Gi.key !succ;
-        maxv := Version.max n.Gi.gap_version !maxv)
-      caches;
-    let isin, sver, svalue = suite_lookup_bound ctx !succ in
-    if isin then (!succ, svalue, sver, !maxv) else walk !succ
-  in
-  walk (Bound.Key x)
-
-let real_predecessor_single ctx x =
-  let quorum = collect_read_quorum ctx in
-  let maxv = ref Version.lowest in
-  let rec walk k =
-    let neighbours =
-      fanout ctx (fun i -> rep_neighbor ctx i ~pred:true k) quorum
-    in
-    let pred = ref Bound.Low in
-    Array.iter
-      (fun (n : Gi.neighbor) ->
-        pred := Bound.max n.Gi.key !pred;
-        maxv := Version.max n.Gi.gap_version !maxv)
-      neighbours;
-    let isin, pver, pvalue = suite_lookup_bound ctx !pred in
-    if isin then (!pred, pvalue, pver, !maxv) else walk !pred
-  in
-  walk (Bound.Key x)
-
-let real_successor_single ctx x =
-  let quorum = collect_read_quorum ctx in
-  let maxv = ref Version.lowest in
-  let rec walk k =
-    let neighbours =
-      fanout ctx (fun i -> rep_neighbor ctx i ~pred:false k) quorum
-    in
-    let succ = ref Bound.High in
-    Array.iter
-      (fun (n : Gi.neighbor) ->
-        succ := Bound.min n.Gi.key !succ;
-        maxv := Version.max n.Gi.gap_version !maxv)
-      neighbours;
-    let isin, sver, svalue = suite_lookup_bound ctx !succ in
-    if isin then (!succ, svalue, sver, !maxv) else walk !succ
-  in
-  walk (Bound.Key x)
-
-let real_predecessor ctx x =
-  let depth = ctx.suite.batch_depth in
-  if depth <= 1 then real_predecessor_single ctx x else real_predecessor_batched ctx depth x
-
-let real_successor ctx x =
-  let depth = ctx.suite.batch_depth in
-  if depth <= 1 then real_successor_single ctx x else real_successor_batched ctx depth x
-
-(* --- operation bodies ----------------------------------------------------------- *)
-
-(* Batched DirSuiteLookup: the read and — for a single-operation transaction
-   — the read-only release travel in one message per quorum member. A member
-   that grants the release ([R_finished true]) is done with the transaction;
-   refusals simply fall back to the normal termination round. *)
-let suite_lookup_finishing_payload ctx bound =
-  let quorum = collect_read_quorum ctx in
-  let ops = [ Rep.B_lookup bound; Rep.B_finish_readonly ] in
-  let replies =
-    fanout ctx
-      (fun i ->
-        match exec ctx i ops with
-        | [ Rep.R_lookup l; Rep.R_finished fin ] ->
-            if fin then begin
-              let s = session_of ctx in
-              s.finished <- Int_set.add i s.finished
-            end;
-            l
-        | _ -> assert false)
-      quorum
-  in
-  Array.fold_left
-    (fun ((_, bestv, _) as best) reply ->
-      let ((_, v, _) as candidate) =
-        match reply with
-        | Gi.Present { version; value } -> (true, version, value)
-        | Gi.Absent { gap_version } -> (false, gap_version, "")
-      in
-      if v > bestv then candidate else best)
-    (false, Version.lowest - 1, "")
-    replies
+              r
+          | _ -> assert false))
 
 (* Cached variant of the finishing lookup: the validation piggybacks on the
    read-only release, so a cache hit stays a single zero-payload round. A
@@ -1048,7 +869,7 @@ let suite_lookup_finishing_validated ctx bound c =
   let t = ctx.suite in
   let fallback note =
     Cache.note c note;
-    let r = suite_lookup_finishing_payload ctx bound in
+    let r = suite_lookup_payload ctx ~finishing:true bound in
     cache_stage t ctx.txn (C_store (bound, line_of_result r));
     r
   in
@@ -1064,8 +885,7 @@ let suite_lookup_finishing_validated ctx bound c =
             match exec ctx i ops with
             | [ Rep.R_tag tag; Rep.R_finished fin ] ->
                 if fin then begin
-                  let s = session_of ctx in
-                  s.finished <- Int_set.add i s.finished;
+                  note_finished ctx i;
                   granted := Int_set.add i !granted
                 end;
                 tag
@@ -1089,15 +909,120 @@ let suite_lookup_finishing_validated ctx bound c =
           Int_set.iter (fun i -> s.finished <- Int_set.remove i s.finished) !granted;
           fallback `Mismatch)
 
-let suite_lookup_finishing ctx bound =
+let suite_lookup_bound ctx bound =
   match ctx.suite.cache with
-  | None -> suite_lookup_finishing_payload ctx bound
-  | Some c -> suite_lookup_finishing_validated ctx bound c
+  | None -> suite_lookup_payload ctx ~finishing:false bound
+  | Some c -> suite_lookup_validated ctx bound c
+
+(* --- RealPredecessor / RealSuccessor (Figure 12) ------------------------------- *)
+
+(* One direction of the neighbour walk. [probe] asks a representative for
+   its nearest neighbour of a bound, [chain] for that many successive
+   neighbours (§4 batching). [pick] chooses the quorum's candidate — the
+   nearest of the members' neighbours — starting from the sentinel
+   [toward] the walk heads for; [origin] is the sentinel it would start
+   from. [beyond n k] holds when [n] lies strictly past [k]. *)
+type direction = {
+  probe : Bound.t -> Rep.batch_op;
+  chain : Bound.t -> int -> Rep.batch_op;
+  pick : Bound.t -> Bound.t -> Bound.t;
+  toward : Bound.t;
+  origin : Bound.t;
+  beyond : Bound.t -> Bound.t -> bool;
+}
+
+let downward =
+  {
+    probe = (fun b -> Rep.B_predecessor b);
+    chain = (fun b depth -> Rep.B_predecessor_chain (b, depth));
+    pick = Bound.max;
+    toward = Bound.Low;
+    origin = Bound.High;
+    beyond = (fun n k -> Bound.compare n k < 0);
+  }
+
+let upward =
+  {
+    probe = (fun b -> Rep.B_successor b);
+    chain = (fun b depth -> Rep.B_successor_chain (b, depth));
+    pick = Bound.min;
+    toward = Bound.High;
+    origin = Bound.Low;
+    beyond = (fun n k -> Bound.compare n k > 0);
+  }
+
+(* Every quorum member's nearest neighbour of [k], one probe message each. *)
+let probe_quorum ctx dir quorum k =
+  let op = dir.probe k in
+  fanout ctx
+    (fun i -> match exec1 ctx i op with Rep.R_neighbor n -> n | _ -> assert false)
+    quorum
+
+(* The first element of a cached chain lying strictly past [k]. *)
+let rec past dir k = function
+  | [] -> None
+  | (n : Gi.neighbor) :: rest -> if dir.beyond n.Gi.key k then Some n else past dir k rest
+
+(* Walk from [x] through candidate neighbours, skipping ghosts, until a key
+   current in the suite is found. Returns the neighbour, its current version
+   and value, and the largest gap version seen along the walk — which
+   dominates every version ever associated with any key in the range,
+   because each step consults a full read quorum.
+
+   At [batch_depth] 1 every step probes the whole quorum: the paper's
+   pseudo-code exactly. Deeper (§4), each member ships a chain of that many
+   successive neighbours, and a step re-calls — in one fan-out — only the
+   members whose cached chain no longer reaches past the probe. A chain
+   anchored at k0 lists *consecutive* entries of that representative, so for
+   any later probe k short of the anchor, the first chain element past k is
+   exactly that representative's neighbour of k, and the element's gap
+   version is the gap between the two. *)
+let walk ctx dir x =
+  let depth = ctx.suite.batch_depth in
+  let quorum = collect_read_quorum ctx in
+  let chains = if depth = 1 then [||] else Array.map (fun i -> (i, ref [])) quorum in
+  let nearest k =
+    if depth = 1 then probe_quorum ctx dir quorum k
+    else begin
+      let stale =
+        Array.of_seq
+          (Seq.filter (fun (_, chain) -> past dir k !chain = None) (Array.to_seq chains))
+      in
+      let op = dir.chain k depth in
+      ignore
+        (fanout ctx
+           (fun (i, chain) ->
+             match exec1 ctx i op with Rep.R_chain ns -> chain := ns | _ -> assert false)
+           stale);
+      Array.map (fun (_, chain) -> Option.get (past dir k !chain)) chains
+    end
+  in
+  let maxv = ref Version.lowest in
+  let rec step k =
+    let cand =
+      Array.fold_left
+        (fun acc (n : Gi.neighbor) ->
+          maxv := Version.max n.Gi.gap_version !maxv;
+          dir.pick n.Gi.key acc)
+        dir.toward (nearest k)
+    in
+    let isin, ver, value = suite_lookup_bound ctx cand in
+    if isin then (cand, value, ver, !maxv) else step cand
+  in
+  step (Bound.Key x)
+
+(* --- operation bodies ----------------------------------------------------------- *)
 
 let do_lookup ctx key =
+  let bound = Bound.Key key in
+  (* A batched single-operation transaction releases the read quorum in the
+     same round. *)
+  let finishing = ctx.suite.batching && ctx.final in
   let isin, v, value =
-    if ctx.suite.batching && ctx.final then suite_lookup_finishing ctx (Bound.Key key)
-    else suite_lookup_bound ctx (Bound.Key key)
+    match ctx.suite.cache with
+    | None -> suite_lookup_payload ctx ~finishing bound
+    | Some c when finishing -> suite_lookup_finishing_validated ctx bound c
+    | Some c -> suite_lookup_validated ctx bound c
   in
   if isin then Some (v, value) else None
 
@@ -1124,36 +1049,15 @@ let do_write ctx memo key value ~must_exist =
   in
   match decide () with
   | Error e -> Error e
-  | Ok ver' when ctx.suite.batching ->
-      (* The write round is this operation's last; for an implicit
-         transaction under two-phase commit, piggyback the prepare on it
-         (last-round optimization) so the explicit prepare round disappears.
-         A piggybacked vote that fails raises out of the batch and aborts
-         the transaction, exactly as a failed explicit prepare would. *)
-      let t = ctx.suite in
+  | Ok ver' ->
       let quorum = collect_write_quorum ctx in
-      let piggyback = ctx.final && t.two_phase in
-      let ops =
-        Rep.B_insert (key, ver', value)
-        :: (if piggyback then [ Rep.B_prepare (Coordinator.id t.coordinator) ] else [])
-      in
+      let prepare = piggyback ctx in
+      let ops = Rep.B_insert (key, ver', value) :: prepare in
       ignore
         (fanout ctx
            (fun i ->
-             let rs = exec ctx i ops in
-             if piggyback then begin
-               let s = session_of ctx in
-               s.prepared <- Int_set.add i s.prepared
-             end;
-             rs)
-           quorum);
-      cache_stage t ctx.txn (C_store (Bound.Key key, Cache.Entry { version = ver'; value }));
-      Ok ()
-  | Ok ver' ->
-      let quorum = collect_write_quorum ctx in
-      ignore
-        (fanout ctx
-           (fun i -> rep_insert ctx i key ver' value)
+             ignore (exec ctx i ops);
+             if prepare <> [] then note_prepared ctx i)
            quorum);
       cache_stage ctx.suite ctx.txn
         (C_store (Bound.Key key, Cache.Entry { version = ver'; value }));
@@ -1174,24 +1078,13 @@ let do_write ctx memo key value ~must_exist =
 let delete_walk ctx x =
   let quorum = collect_read_quorum ctx in
   let maxv = ref Version.lowest in
-  let best_lookup =
-    List.fold_left
-      (fun ((_, bestv, _) as best) reply ->
-        let ((_, v, _) as candidate) =
-          match reply with
-          | Gi.Present { version; value } -> (true, version, value)
-          | Gi.Absent { gap_version } -> (false, gap_version, "")
-        in
-        if v > bestv then candidate else best)
-      (false, Version.lowest - 1, "")
-  in
-  let advance ~towards ~pick neighbours =
+  let advance dir neighbours =
     let cand =
       List.fold_left
         (fun acc (n : Gi.neighbor) ->
           maxv := Version.max n.Gi.gap_version !maxv;
-          pick acc n.Gi.key)
-        towards neighbours
+          dir.pick acc n.Gi.key)
+        dir.toward neighbours
     in
     match cand with
     | Bound.Key k -> `Walk k
@@ -1205,25 +1098,19 @@ let delete_walk ctx x =
         | _ -> assert false)
       quorum
   in
-  let s0 =
-    advance ~towards:Bound.High ~pick:Bound.min
-      (Array.to_list (Array.map (fun (s, _, _) -> s) first))
-  in
-  let p0 =
-    advance ~towards:Bound.Low ~pick:Bound.max
-      (Array.to_list (Array.map (fun (_, p, _) -> p) first))
-  in
-  let isin, vx, _ = best_lookup (Array.to_list (Array.map (fun (_, _, l) -> l) first)) in
+  let s0 = advance upward (Array.to_list (Array.map (fun (s, _, _) -> s) first)) in
+  let p0 = advance downward (Array.to_list (Array.map (fun (_, p, _) -> p) first)) in
+  let isin, vx, _ = Array.fold_left (fun best (_, _, l) -> best_reply best l) no_reply first in
   let rec resolve s_state p_state =
     match (s_state, p_state) with
     | `Done s, `Done p -> (s, p)
     | _ ->
-        let side_ops probe = function
-          | `Walk k -> [ Rep.B_lookup (Bound.Key k); probe (Bound.Key k) ]
+        let side_ops dir = function
+          | `Walk k -> [ Rep.B_lookup (Bound.Key k); dir.probe (Bound.Key k) ]
           | `Done _ -> []
         in
-        let s_ops = side_ops (fun b -> Rep.B_successor b) s_state in
-        let p_ops = side_ops (fun b -> Rep.B_predecessor b) p_state in
+        let s_ops = side_ops upward s_state in
+        let p_ops = side_ops downward p_state in
         let parts =
           fanout ctx
             (fun i ->
@@ -1240,18 +1127,15 @@ let delete_walk ctx x =
               | _ -> assert false)
             quorum
         in
-        let step state ~towards ~pick proj =
+        let step dir state proj =
           match state with
           | `Done _ as d -> d
           | `Walk k ->
               let collect part = Array.to_list parts |> List.filter_map (fun p -> part (proj p)) in
-              let isin, ver, value = best_lookup (collect fst) in
-              if isin then `Done (Bound.Key k, value, ver)
-              else advance ~towards ~pick (collect snd)
+              let isin, ver, value = List.fold_left best_reply no_reply (collect fst) in
+              if isin then `Done (Bound.Key k, value, ver) else advance dir (collect snd)
         in
-        resolve
-          (step s_state ~towards:Bound.High ~pick:Bound.min fst)
-          (step p_state ~towards:Bound.Low ~pick:Bound.max snd)
+        resolve (step upward s_state fst) (step downward p_state snd)
   in
   let s, p = resolve s0 p0 in
   (s, p, isin, vx, !maxv)
@@ -1272,7 +1156,7 @@ let do_delete_batched ctx key =
   (* Collected after the walks so the prefer-touched policy can aim the
      write quorum at members the transaction already visited. *)
   let quorum = collect_write_quorum ctx in
-  let piggyback = ctx.final && t.two_phase in
+  let prepare = piggyback ctx in
   let repair_of = function
     | Bound.Key k, v, value -> [ Rep.B_insert_if_absent (k, v, value) ]
     | (Bound.Low | Bound.High), _, _ -> []
@@ -1281,16 +1165,13 @@ let do_delete_batched ctx key =
     repair_of (succ, sver, svalue)
     @ repair_of (pred, pver, pvalue)
     @ [ Rep.B_lookup x; Rep.B_coalesce (pred, succ, Version.next ver) ]
-    @ (if piggyback then [ Rep.B_prepare (Coordinator.id t.coordinator) ] else [])
+    @ prepare
   in
   let per_member =
     fanout ctx
       (fun i ->
         let rs = exec ctx i ops in
-        if piggyback then begin
-          let s = session_of ctx in
-          s.prepared <- Int_set.add i s.prepared
-        end;
+        if prepare <> [] then note_prepared ctx i;
         let repairs = ref 0 and has_x = ref false and removed = ref 0 in
         List.iter2
           (fun op r ->
@@ -1331,40 +1212,35 @@ let do_delete_batched ctx key =
 let do_delete_unbatched ctx key =
   let x = Bound.Key key in
   let quorum = collect_write_quorum ctx in
-  let succ, svalue, sver, ver1 = real_successor ctx key in
-  let pred, pvalue, pver, ver2 = real_predecessor ctx key in
+  let succ, svalue, sver, ver1 = walk ctx upward key in
+  let pred, pvalue, pver, ver2 = walk ctx downward key in
   let isin, vx, _ = suite_lookup_bound ctx x in
   let ver = Version.max (Version.max ver1 ver2) vx in
+  let present i b =
+    match exec1 ctx i (Rep.B_lookup b) with
+    | Rep.R_lookup (Gi.Present _) -> true
+    | Rep.R_lookup (Gi.Absent _) -> false
+    | _ -> assert false
+  in
   (* Make sure the predecessor and successor exist in every quorum member;
      sentinels exist everywhere by construction. *)
+  let repair i = function
+    | (Bound.Key k as b), v, value ->
+        if present i b then 0
+        else begin
+          ignore (exec1 ctx i (Rep.B_insert (k, v, value)));
+          1
+        end
+    | (Bound.Low | Bound.High), _, _ -> 0
+  in
   let per_member =
     fanout ctx
       (fun i ->
-        let repairs = ref 0 in
-        (match succ with
-        | Bound.Key sk ->
-            (match rep_lookup ctx i succ with
-            | Gi.Present _ -> ()
-            | Gi.Absent _ ->
-                incr repairs;
-                rep_insert ctx i sk sver svalue)
-        | Bound.Low | Bound.High -> ());
-        (match pred with
-        | Bound.Key pk ->
-            (match rep_lookup ctx i pred with
-            | Gi.Present _ -> ()
-            | Gi.Absent _ ->
-                incr repairs;
-                rep_insert ctx i pk pver pvalue)
-        | Bound.Low | Bound.High -> ());
+        let s_repairs = repair i (succ, sver, svalue) in
+        let p_repairs = repair i (pred, pver, pvalue) in
         (* Not part of Figure 13: observe whether the victim is physically
            present here, to separate ghost deletions in the statistics. *)
-        let has_x =
-          match rep_lookup ctx i x with
-          | Gi.Present _ -> true
-          | Gi.Absent _ -> false
-        in
-        (!repairs, has_x))
+        (s_repairs + p_repairs, present i x))
       quorum
   in
   let repair_inserts = ref 0 in
@@ -1375,9 +1251,11 @@ let do_delete_unbatched ctx key =
       if has_x then incr present_x)
     per_member;
   (* Coalesce the range in each member with a dominating gap version. *)
+  let coalesce = Rep.B_coalesce (pred, succ, Version.next ver) in
   let removed =
     fanout ctx
-      (fun i -> (i, rep_coalesce ctx i ~lo:pred ~hi:succ (Version.next ver)))
+      (fun i ->
+        match exec1 ctx i coalesce with Rep.R_removed n -> (i, n) | _ -> assert false)
       quorum
   in
   let total_removed = Array.fold_left (fun acc (_, n) -> acc + n) 0 removed in
@@ -1773,59 +1651,37 @@ let delete ?txn t key =
 
 (* --- ordered traversal --------------------------------------------------------------- *)
 
-(* The real-successor walk already returns the next *current* entry; the
-   sentinels map to None. *)
-let next_in ctx key =
-  match real_successor ctx key with
+(* The neighbour walk already returns the next *current* entry in its
+   direction; the sentinels map to None. *)
+let step_in ctx dir key =
+  match walk ctx dir key with
   | Bound.Key k, value, ver, _maxv -> Some (k, ver, value)
   | (Bound.High | Bound.Low), _, _, _ -> None
 
-let prev_in ctx key =
-  match real_predecessor ctx key with
-  | Bound.Key k, value, ver, _maxv -> Some (k, ver, value)
-  | (Bound.High | Bound.Low), _, _, _ -> None
+let next_in ctx key = step_in ctx upward key
+
+(* The first (resp. last) current entry: ask a read quorum for the neighbour
+   of the [origin] sentinel, take the nearest candidate, and resolve it with
+   a suite lookup; if it turns out to be a ghost, continue with the normal
+   walk from it. *)
+let end_in ctx dir =
+  let quorum = collect_read_quorum ctx in
+  let cand =
+    Array.fold_left
+      (fun acc (n : Gi.neighbor) -> dir.pick acc n.Gi.key)
+      dir.toward
+      (probe_quorum ctx dir quorum dir.origin)
+  in
+  match cand with
+  | Bound.High | Bound.Low -> None
+  | Bound.Key k ->
+      let isin, ver, value = suite_lookup_bound ctx cand in
+      if isin then Some (k, ver, value) else step_in ctx dir k
 
 let next ?txn t key = run_op t ?txn (fun ctx -> next_in ctx key)
-let prev ?txn t key = run_op t ?txn (fun ctx -> prev_in ctx key)
-
-let first ?txn t =
-  run_op t ?txn (fun ctx ->
-      (* Ask every quorum member for the successor of LOW, take the smallest
-         candidate, and resolve it with a suite lookup; if it turns out to be
-         a ghost, continue with the normal walk from it. *)
-      let quorum = collect_read_quorum ctx in
-      let neighbours =
-        fanout ctx
-          (fun i -> rep_neighbor ctx i ~pred:false Bound.Low)
-          quorum
-      in
-      let candidate =
-        Array.fold_left (fun acc (n : Gi.neighbor) -> Bound.min acc n.Gi.key) Bound.High
-          neighbours
-      in
-      match candidate with
-      | Bound.High | Bound.Low -> None
-      | Bound.Key k -> (
-          let isin, ver, value = suite_lookup_bound ctx (Bound.Key k) in
-          if isin then Some (k, ver, value) else next_in ctx k))
-
-let last ?txn t =
-  run_op t ?txn (fun ctx ->
-      let quorum = collect_read_quorum ctx in
-      let neighbours =
-        fanout ctx
-          (fun i -> rep_neighbor ctx i ~pred:true Bound.High)
-          quorum
-      in
-      let candidate =
-        Array.fold_left (fun acc (n : Gi.neighbor) -> Bound.max acc n.Gi.key) Bound.Low
-          neighbours
-      in
-      match candidate with
-      | Bound.High | Bound.Low -> None
-      | Bound.Key k -> (
-          let isin, ver, value = suite_lookup_bound ctx (Bound.Key k) in
-          if isin then Some (k, ver, value) else prev_in ctx k))
+let prev ?txn t key = run_op t ?txn (fun ctx -> step_in ctx downward key)
+let first ?txn t = run_op t ?txn (fun ctx -> end_in ctx upward)
+let last ?txn t = run_op t ?txn (fun ctx -> end_in ctx downward)
 
 let fold_range ?txn t ~lo ~hi ~init ~f =
   run_op t ?txn (fun ctx ->
@@ -1846,18 +1702,4 @@ let to_alist ?txn t =
         | Some (k, _, value) -> go ((k, value) :: acc) (next_in ctx k)
         | None -> List.rev acc
       in
-      let quorum = collect_read_quorum ctx in
-      let neighbours =
-        fanout ctx
-          (fun i -> rep_neighbor ctx i ~pred:false Bound.Low)
-          quorum
-      in
-      match
-        Array.fold_left (fun acc (n : Gi.neighbor) -> Bound.min acc n.Gi.key) Bound.High
-          neighbours
-      with
-      | Bound.High | Bound.Low -> []
-      | Bound.Key k ->
-          let isin, _, value = suite_lookup_bound ctx (Bound.Key k) in
-          let start = if isin then Some (k, 0, value) else next_in ctx k in
-          go [] start)
+      go [] (end_in ctx upward))

@@ -110,18 +110,24 @@ val create :
     successor walks ask each quorum member for [batch_depth] successive
     neighbours per call, so "the real predecessor and real successor will
     often be located using one remote procedure call to each member of the
-    quorum". Depth 1 reproduces the paper's pseudo-code exactly.
+    quorum"; a later step re-calls only the members whose chain no longer
+    reaches past the probe. Depth 1 reproduces the paper's pseudo-code
+    exactly: every step probes the whole quorum. One walk serves both
+    directions.
 
     [sync] attaches the background anti-entropy actor reconciling this
     suite's representatives (see {!Repdir_sync.Sync}); the suite exposes its
     enable switch and traffic counters but the actor runs independently of
     client operations.
 
-    [batching] (default false — the seed behaviour) turns on per-
-    representative message batching: each round of an operation packs its
-    per-member representative calls into one {!Repdir_rep.Rep.execute}
-    message (e.g. a delete's repair checks + copies + victim probe +
-    coalesce become one message per write-quorum member), write quorums
+    All operation work reaches a representative as
+    {!Repdir_rep.Rep.execute} messages. [batching] (default false — the
+    seed behaviour) decides how many ops each one carries. Off, every call
+    is a one-op message, with the calls, messages and modelled bytes of
+    the paper's one-call-per-RPC pseudo-code. On, each round of an
+    operation packs its per-member calls into one message (e.g. a delete's
+    repair checks + copies + victim probe + coalesce become one message per
+    write-quorum member), write quorums
     prefer members the transaction already touched, the two-phase-commit
     prepare of a single-operation transaction is piggybacked on its final
     work round, a read-only visit is released in-round
@@ -230,8 +236,6 @@ val transport : t -> Transport.t
 
 val coordinator : t -> Coordinator.t
 (** The decision log this suite commits against when [two_phase] is on. *)
-
-val batching : t -> bool
 
 val flush_notices : t -> unit
 (** Deliver every queued termination notice now, one message per

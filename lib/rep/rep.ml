@@ -945,7 +945,7 @@ let run_batch_op t ~txn op =
 let execute t ~txn ops =
   check_alive t;
   t.counters.batches <- t.counters.batches + 1;
-  List.rev (List.fold_left (fun acc op -> run_batch_op t ~txn op :: acc) [] ops)
+  List.map (run_batch_op t ~txn) ops
 
 (* What this representative knows about a transaction's fate — the answer it
    gives a peer's termination query. [`Committed] implies the coordinator

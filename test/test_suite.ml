@@ -484,6 +484,42 @@ let batching_differential_two_phase =
       run_batching_differential ~two_phase:true ~seed ~ops:60 ();
       true)
 
+(* --- one work path ---------------------------------------------------------- *)
+
+(* Every representative call the suite issues for operation work is a
+   [Rep.execute] message; unbatched, each carries exactly one op. Checked
+   over every operation kind, including deletes and walks that skip
+   ghosts. *)
+let test_one_work_path () =
+  let world = make_world () in
+  let s = suite_with ~seed:7L Picker.Random world in
+  let keys = List.init 12 (fun i -> Key.of_int i) in
+  List.iter (fun k -> ignore (Suite.insert s k ("v" ^ k))) keys;
+  List.iteri (fun i k -> if i mod 3 = 0 then ignore (Suite.update s k ("u" ^ k))) keys;
+  List.iteri (fun i k -> if i mod 2 = 1 then ignore (Suite.delete s k)) keys;
+  (* A delete's write quorum leaves the victim behind at the third
+     representative: the later walks and deletes below must skip ghosts. *)
+  let live = List.map fst (Suite.to_alist s) in
+  let ghosts =
+    Array.to_list world.reps
+    |> List.concat_map (fun r -> List.map (fun (k, _, _) -> k) (Rep.entries r))
+    |> List.filter (fun k -> not (List.mem k live))
+  in
+  Alcotest.(check bool) "ghosts left behind" true (ghosts <> []);
+  ignore (Suite.delete s (Key.of_int 4));
+  ignore (Suite.delete s (Key.of_int 5));
+  List.iter (fun k -> ignore (Suite.lookup s k)) keys;
+  ignore
+    (Suite.fold_range s ~lo:(Key.of_int 1) ~hi:(Key.of_int 10) ~init:0 ~f:(fun n _ _ -> n + 1));
+  ignore (Suite.first s);
+  ignore (Suite.last s);
+  ignore (Suite.prev s (Key.of_int 9));
+  let sum f = Array.fold_left (fun a r -> a + f (Rep.counters r)) 0 world.reps in
+  let batches = sum (fun c -> c.Rep.batches) in
+  Alcotest.(check int) "every call is an execute" world.transport.Transport.rpc_count batches;
+  Alcotest.(check int) "one op per message" batches (sum (fun c -> c.Rep.batch_ops));
+  Alcotest.(check bool) "work was done" true (batches > 0)
+
 let () =
   Alcotest.run "suite"
     [
@@ -522,6 +558,9 @@ let () =
           QCheck_alcotest.to_alcotest suite_matches_model_batched;
           Alcotest.test_case "soak 800 ops" `Slow test_long_soak;
         ] );
+      ( "one-work-path",
+        [ Alcotest.test_case "unbatched calls are one-op executes" `Quick test_one_work_path ]
+      );
       ( "batching-differential",
         [
           QCheck_alcotest.to_alcotest batching_differential_one_phase;

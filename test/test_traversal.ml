@@ -9,11 +9,11 @@ open Repdir_rep
 open Repdir_quorum
 open Repdir_core
 
-let make_suite ?seed config =
+let make_suite ?seed ?batch_depth config =
   let n = Config.n_reps config in
   let reps = Array.init n (fun i -> Rep.create ~name:(Printf.sprintf "r%d" i) ()) in
   ( reps,
-    Suite.create ?seed ~config ~transport:(Transport.local reps)
+    Suite.create ?seed ?batch_depth ~config ~transport:(Transport.local reps)
       ~txns:(Txn.Manager.create ()) () )
 
 let cfg_322 = Config.simple ~n:3 ~r:2 ~w:2
@@ -98,10 +98,12 @@ let test_to_alist () =
 
 let traversal_matches_model =
   QCheck.Test.make ~name:"traversal equals sorted model under churn" ~count:30
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
+    (* Both walk depths: 1 probes the whole quorum every step, 3 serves
+       steps from cached neighbour chains. *)
+    QCheck.(pair (oneofl [ 1; 3 ]) (int_bound 1_000_000))
+    (fun (batch_depth, seed) ->
       let rng = Repdir_util.Rng.create (Int64.of_int seed) in
-      let _, s = make_suite ~seed:(Int64.of_int (seed + 1)) cfg_322 in
+      let _, s = make_suite ~seed:(Int64.of_int (seed + 1)) ~batch_depth cfg_322 in
       let model = Hashtbl.create 32 in
       let universe = Array.init 20 (fun i -> Key.of_int i) in
       for step = 1 to 80 do
@@ -124,19 +126,25 @@ let traversal_matches_model =
           |> List.sort (fun (a, _) (b, _) -> Key.compare a b)
         in
         if Suite.to_alist s <> expected then failwith (Printf.sprintf "scan diverged at %d" step);
-        (* Spot-check next from a random probe. *)
-        let probe = Repdir_util.Rng.pick rng universe in
-        let expected_next =
-          List.find_opt (fun (k, _) -> Key.compare k probe > 0) expected
-        in
-        let got = Suite.next s probe in
-        let ok =
-          match (got, expected_next) with
+        (* Spot-check both walk directions from a random probe, and the
+           last entry. *)
+        let agrees got want =
+          match (got, want) with
           | None, None -> true
           | Some (k, _, v), Some (k', v') -> Key.equal k k' && String.equal v v'
           | _ -> false
         in
-        if not ok then failwith (Printf.sprintf "next diverged at %d" step)
+        let probe = Repdir_util.Rng.pick rng universe in
+        let expected_next = List.find_opt (fun (k, _) -> Key.compare k probe > 0) expected in
+        if not (agrees (Suite.next s probe) expected_next) then
+          failwith (Printf.sprintf "next diverged at %d" step);
+        let below = List.rev expected in
+        let expected_prev = List.find_opt (fun (k, _) -> Key.compare k probe < 0) below in
+        if not (agrees (Suite.prev s probe) expected_prev) then
+          failwith (Printf.sprintf "prev diverged at %d" step);
+        let expected_last = match below with [] -> None | e :: _ -> Some e in
+        if not (agrees (Suite.last s) expected_last) then
+          failwith (Printf.sprintf "last diverged at %d" step)
       done;
       true)
 
