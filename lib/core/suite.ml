@@ -1026,6 +1026,16 @@ let do_lookup ctx key =
   in
   if isin then Some (v, value) else None
 
+(* The first run's value of a decision an operation body may re-run after a
+   transport failure: the re-run's reads observe the operation's own
+   uncommitted writes, so it must not decide again. *)
+let remember memo fresh =
+  match !memo with
+  | Some d -> d
+  | None ->
+      memo := Some fresh;
+      fresh
+
 (* DirSuiteInsert / DirSuiteUpdate (Figure 9).
 
    [memo] carries the decision across re-runs of the operation body after a
@@ -1148,11 +1158,11 @@ let delete_walk ctx x =
    collapse into ONE message per write-quorum member. Member-local op order
    matches the unbatched rounds (repairs before coalesce), and members carry
    no cross-member data dependencies, so the interleaving is equivalent. *)
-let do_delete_batched ctx key =
+let do_delete_batched ctx memo key =
   let t = ctx.suite in
   let x = Bound.Key key in
   let (succ, svalue, sver), (pred, pvalue, pver), isin, vx, walk_ver = delete_walk ctx x in
-  let ver = Version.max walk_ver vx in
+  let isin, ver = remember memo (isin, Version.next (Version.max walk_ver vx)) in
   (* Collected after the walks so the prefer-touched policy can aim the
      write quorum at members the transaction already visited. *)
   let quorum = collect_write_quorum ctx in
@@ -1164,7 +1174,7 @@ let do_delete_batched ctx key =
   let ops =
     repair_of (succ, sver, svalue)
     @ repair_of (pred, pver, pvalue)
-    @ [ Rep.B_lookup x; Rep.B_coalesce (pred, succ, Version.next ver) ]
+    @ [ Rep.B_lookup x; Rep.B_coalesce (pred, succ, ver) ]
     @ prepare
   in
   let per_member =
@@ -1195,10 +1205,10 @@ let do_delete_batched ctx key =
       total_removed := !total_removed + removed)
     per_member;
   (* The coalesce turns the whole open interval (pred, succ) into one gap at
-     [Version.next ver]: drop every cached line inside it and remember the
-     victim's new gap version. *)
+     [ver]: drop every cached line inside it and remember the victim's new
+     gap version. *)
   cache_stage t ctx.txn (C_invalidate_range (pred, succ));
-  cache_stage t ctx.txn (C_store (x, Cache.Gap { version = Version.next ver }));
+  cache_stage t ctx.txn (C_store (x, Cache.Gap { version = ver }));
   {
     was_present = isin;
     removed_per_rep = Array.map (fun (i, _, _, removed) -> (i, removed)) per_member;
@@ -1209,13 +1219,13 @@ let do_delete_batched ctx key =
   }
 
 (* DirSuiteDelete (Figure 13). *)
-let do_delete_unbatched ctx key =
+let do_delete_unbatched ctx memo key =
   let x = Bound.Key key in
   let quorum = collect_write_quorum ctx in
   let succ, svalue, sver, ver1 = walk ctx upward key in
   let pred, pvalue, pver, ver2 = walk ctx downward key in
   let isin, vx, _ = suite_lookup_bound ctx x in
-  let ver = Version.max (Version.max ver1 ver2) vx in
+  let isin, ver = remember memo (isin, Version.next (Version.max (Version.max ver1 ver2) vx)) in
   let present i b =
     match exec1 ctx i (Rep.B_lookup b) with
     | Rep.R_lookup (Gi.Present _) -> true
@@ -1251,7 +1261,7 @@ let do_delete_unbatched ctx key =
       if has_x then incr present_x)
     per_member;
   (* Coalesce the range in each member with a dominating gap version. *)
-  let coalesce = Rep.B_coalesce (pred, succ, Version.next ver) in
+  let coalesce = Rep.B_coalesce (pred, succ, ver) in
   let removed =
     fanout ctx
       (fun i ->
@@ -1260,7 +1270,7 @@ let do_delete_unbatched ctx key =
   in
   let total_removed = Array.fold_left (fun acc (_, n) -> acc + n) 0 removed in
   cache_stage ctx.suite ctx.txn (C_invalidate_range (pred, succ));
-  cache_stage ctx.suite ctx.txn (C_store (x, Cache.Gap { version = Version.next ver }));
+  cache_stage ctx.suite ctx.txn (C_store (x, Cache.Gap { version = ver }));
   {
     was_present = isin;
     removed_per_rep = removed;
@@ -1270,8 +1280,8 @@ let do_delete_unbatched ctx key =
     succ;
   }
 
-let do_delete ctx key =
-  if ctx.suite.batching then do_delete_batched ctx key else do_delete_unbatched ctx key
+let do_delete ctx memo key =
+  if ctx.suite.batching then do_delete_batched ctx memo key else do_delete_unbatched ctx memo key
 
 (* --- transaction plumbing --------------------------------------------------------- *)
 
@@ -1644,8 +1654,9 @@ let update ?txn t key value =
   | Error `Already_present -> assert false
 
 let delete ?txn t key =
+  let memo = ref None in
   run_op t ?txn (fun ctx ->
-      let r = do_delete ctx key in
+      let r = do_delete ctx memo key in
       record_prim t ~txn:ctx.txn (History.Delete (key, r.was_present));
       r)
 

@@ -580,6 +580,11 @@ let gaps t =
 
 (* --- validation ---------------------------------------------------------- *)
 
+(* Marshal keeps sharing, so the leaf chain's back pointers and every
+   cached sum come back as they were. *)
+let to_image (t : t) = Marshal.to_string t []
+let of_image s : t = Marshal.from_string s 0
+
 let check_invariants t =
   let exception Bad of string in
   let fail fmt = Format.kasprintf (fun s -> raise (Bad s)) fmt in
@@ -671,6 +676,8 @@ include Gapmap_intf.Sync_ops (struct
   let entries_between = entries_between
   let summary_between = summary_between
   let key_at_rank = key_at_rank
+  let to_image = to_image
+  let of_image = of_image
   let check_invariants = check_invariants
   let pp = pp
 end)

@@ -230,6 +230,14 @@ module type BASE = sig
       of the gap that follows it. Used by transaction undo (a coalesce must
       be able to restore exactly what it destroyed). *)
 
+  val to_image : t -> string
+  (** The whole map as one string, in one pass and one allocation, for a
+      checkpoint: implementation-specific state (the B+tree's shape and
+      cached sums) included, so {!of_image} rebuilds without recomputing. *)
+
+  val of_image : string -> t
+  (** The map {!to_image} encoded. *)
+
   val check_invariants : t -> (unit, string) result
   (** Structural validation: entry order, gap count, implementation-specific
       shape (B+tree balance, occupancy). *)

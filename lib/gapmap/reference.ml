@@ -156,6 +156,9 @@ let key_at_rank t ~lo ~hi i =
   | None -> invalid_arg "Gapmap.key_at_rank: rank out of range"
   | exception Invalid_argument _ -> invalid_arg "Gapmap.key_at_rank: rank out of range"
 
+let to_image (t : t) = Marshal.to_string t []
+let of_image s : t = Marshal.from_string s 0
+
 let check_invariants t =
   let rec ordered = function
     | a :: (b :: _ as rest) ->
@@ -193,6 +196,8 @@ include Gapmap_intf.Sync_ops (struct
   let entries_between = entries_between
   let summary_between = summary_between
   let key_at_rank = key_at_rank
+  let to_image = to_image
+  let of_image = of_image
   let check_invariants = check_invariants
   let pp = pp
 end)

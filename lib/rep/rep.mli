@@ -117,6 +117,7 @@ type counters = {
   mutable shed_rejects : int;  (** maintenance work shed by the overload breaker *)
   mutable expired_rejects : int;  (** requests refused because their deadline had passed *)
   mutable validates : int;  (** version-only tag reads served ({!validate_versions}) *)
+  mutable checkpoints : int;  (** {!checkpoint}s completed (image forced, log truncated) *)
 }
 
 val create :
@@ -402,7 +403,8 @@ val abort : t -> txn:Repdir_txn.Txn.id -> unit
 (** Both release the transaction's locks; abort also rolls back its effects.
     Idempotent under duplicate delivery. Raises [Txn.Abort] when asked for
     the outcome opposite to one already recorded — a representative never
-    both commits and aborts the same transaction. *)
+    both commits and aborts the same transaction — and, like {!prepare},
+    when asked to commit a transaction whose effects it lost in a crash. *)
 
 (* --- transaction termination ------------------------------------------------ *)
 
@@ -474,10 +476,17 @@ val recover : t -> unit
     coordinator may have logged a commit this representative never saw. *)
 
 val checkpoint : t -> unit
-(** Write a checkpoint record and truncate the log. Raises [Invalid_argument]
-    if any transaction is active on this representative. *)
+(** Write a fuzzy checkpoint — one image of the gap map, with the undo lists
+    of the transactions whose effects it holds, the outcome table and the
+    fences — force it, and truncate the log behind it. Active, prepared and
+    in-doubt transactions do not block it: their records are carried past
+    the truncation point. The representative also takes one by itself
+    whenever a commit, abort or in-doubt resolution leaves more than
+    [2 * size + 1024] records since the last. A no-op while one is already
+    waiting for its force, or when the disk refuses the image. *)
 
 val wal_length : t -> int
+(** Log records retained (not appended in total: checkpoints truncate). *)
 
 val wal_unsynced : t -> int
 (** Log records appended since the last forced write (prepare, commit,

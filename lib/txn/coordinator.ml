@@ -11,28 +11,29 @@ type counters = {
   mutable presumed_aborts : int;
 }
 
-type t = {
-  id : int;
-  log : Wal.t;
-  decisions : (Txn.id, decision) Hashtbl.t;
-  counters : counters;
-}
+(* The log's own outcome index is the decision table. *)
+type t = { id : int; log : Wal.t; counters : counters }
 
 let create ?(id = -1) () =
   {
     id;
     log = Wal.create ();
-    decisions = Hashtbl.create 32;
     counters = { commits = 0; aborts = 0; resolutions = 0; presumed_aborts = 0 };
   }
 
 let id t = t.id
 let counters t = t.counters
-let decision t txn = Hashtbl.find_opt t.decisions txn
+
+let decision t txn =
+  match Wal.outcome t.log txn with
+  | Some `Committed -> Some Committed
+  | Some `Aborted -> Some Aborted
+  | None -> None
+
 let log_length t = Wal.length t.log
 
 let decide t txn d =
-  match Hashtbl.find_opt t.decisions txn with
+  match decision t txn with
   | Some existing -> existing
   | None ->
       (match d with
@@ -50,12 +51,11 @@ let decide t txn d =
              answered by the no-information rule below. *)
           Wal.append t.log (Wal.Abort txn);
           t.counters.aborts <- t.counters.aborts + 1);
-      Hashtbl.replace t.decisions txn d;
       d
 
 let resolve t txn =
   t.counters.resolutions <- t.counters.resolutions + 1;
-  match Hashtbl.find_opt t.decisions txn with
+  match decision t txn with
   | Some d -> d
   | None ->
       (* No decision on file. Presumed abort makes this answer binding: we
@@ -66,12 +66,4 @@ let resolve t txn =
       t.counters.presumed_aborts <- t.counters.presumed_aborts + 1;
       decide t txn Aborted
 
-let recover t =
-  Hashtbl.reset t.decisions;
-  ignore (Wal.repair t.log);
-  List.iter
-    (function
-      | Wal.Commit txn -> Hashtbl.replace t.decisions txn Committed
-      | Wal.Abort txn -> Hashtbl.replace t.decisions txn Aborted
-      | _ -> ())
-    (Wal.records t.log)
+let recover t = ignore (Wal.repair t.log : int)

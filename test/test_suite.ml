@@ -185,6 +185,44 @@ let test_delete_absent_key () =
   Alcotest.(check bool) "a survives" true (Suite.mem s "a");
   Alcotest.(check bool) "c survives" true (Suite.mem s "c")
 
+(* The reply from the second member to run the delete's coalesce is lost,
+   so the operation body re-runs in the same transaction, on the one member
+   left, and its walk now meets its own uncommitted coalesce at the first.
+   The report must still say the key was present, and the re-run must not
+   escalate the coalesce version. (Transport.local's fanout is sequential,
+   so the first member has coalesced by then.) *)
+let test_delete_rerun_keeps_presence batching () =
+  let world = make_world () in
+  List.iter (fun k -> rep_insert world ~reps:[ 0; 1; 2 ] k 1 ("v" ^ k)) [ "a"; "b"; "c" ];
+  let base = world.transport in
+  let coalesced = ref 0 in
+  let call i f =
+    let before = (Rep.counters world.reps.(i)).coalesces in
+    let r = base.call i f in
+    if (Rep.counters world.reps.(i)).coalesces > before then incr coalesced;
+    if !coalesced = 2 && Result.is_ok r then begin
+      incr coalesced;
+      Error Transport.Timeout
+    end
+    else r
+  in
+  let s =
+    Suite.create ~batching ~config:world.config ~transport:{ base with call } ~txns:world.txns ()
+  in
+  let r = Suite.delete s "b" in
+  Alcotest.(check bool) "the delete round failed once" true (!coalesced > 2);
+  Alcotest.(check bool) "was present" true r.was_present;
+  Alcotest.(check bool) "gone" true (Suite.lookup s "b" = None);
+  let gap_versions =
+    Array.to_list world.reps
+    |> List.filter_map (fun rep ->
+           match Rep.lookup rep ~txn:(Txn.Manager.begin_txn world.txns) (Bound.Key "b") with
+           | Gi.Absent { gap_version } -> Some gap_version
+           | Gi.Present _ -> None)
+  in
+  Alcotest.(check bool) "one coalesce version" true
+    (List.for_all (fun v -> v = 2) gap_versions && gap_versions <> [])
+
 let test_reinsert_after_delete () =
   let world = make_world () in
   let s = suite_with Picker.Random world in
@@ -537,6 +575,10 @@ let () =
           Alcotest.test_case "update bumps version" `Quick test_update_bumps_version;
           Alcotest.test_case "delete of absent key" `Quick test_delete_absent_key;
           Alcotest.test_case "reinsert after delete" `Quick test_reinsert_after_delete;
+          Alcotest.test_case "delete re-run keeps presence (batched)" `Quick
+            (test_delete_rerun_keeps_presence true);
+          Alcotest.test_case "delete re-run keeps presence (unbatched)" `Quick
+            (test_delete_rerun_keeps_presence false);
         ] );
       ( "transactions",
         [

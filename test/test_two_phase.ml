@@ -109,7 +109,7 @@ let test_wal_redo_deferred_commit () =
   let g = Replay.replay w in
   Alcotest.(check int) "effects withheld" 0
     (List.length (Repdir_gapmap.Reference.entries g));
-  Replay.redo w 1 g;
+  Replay.redo (Wal.records w) g;
   Alcotest.(check (list string)) "redo applies the held effects" [ "a" ]
     (List.map (fun (k, _, _) -> k) (Repdir_gapmap.Reference.entries g))
 
