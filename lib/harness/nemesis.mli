@@ -10,9 +10,15 @@
     transactions; in-doubt ones resolve against the coordinator or a peer),
     and verifies the whole key space again — with {i no} power-cycle: any
     lock still held at quiesce is reported as an orphan. All randomness —
-    the plan builders,
-    the workload, the link gremlins, the retry jitter — derives from
-    explicit seeds, so a run is bit-reproducible.
+    the plan builders, the workload, the link gremlins, the retry jitter —
+    derives from explicit seeds, so a run is bit-reproducible.
+
+    {!run_plan}, {!run_reconfig} and {!run_shard} share one runner: the
+    fault schedule, the checker wiring, the client loop, the quiesce sweep
+    and the {!outcome}. Each campaign supplies only its world and clients
+    (a {!Repdir_core.Suite} or a {!Repdir_shard.Router} per client), any
+    extra operation kinds, the driver process that reconfigures the
+    deployment, and how the world settles and is scrubbed at quiesce.
 
     The transport is the hardened one: at-most-once RPC with request-id
     deduplication and bounded exponential-backoff retries, two-phase commit,
@@ -118,19 +124,6 @@ val all_plans : ?duration:float -> n:int -> seed:int64 -> unit -> plan list
     {!retry_storm} — nine plans. New plans append at the end: {!run_all}
     seeds each plan's world from its position in this list. *)
 
-val reconfig_plan : n:int -> n_nodes:int -> duration:float -> seed:int64 -> plan
-(** Faults aimed at a running reconfiguration: brief single-representative
-    partitions (the victim is cut from {i every} node — clients, admin and
-    anti-entropy actor included, hence [n_nodes]) and occasional short
-    bounces, separated by calm windows the driver's retry loops can make
-    progress in. Used by {!run_reconfig}. *)
-
-val shard_plan : n_reps:int -> n_nodes:int -> duration:float -> seed:int64 -> plan
-(** Faults aimed at a sharded deployment: the {!reconfig_plan} shape over
-    the grouped node layout — victims rotate across every group's [n_reps]
-    representative slots, with calm windows sized for the migration driver's
-    sliced catch-up rounds. Used by {!run_shard}. *)
-
 val plan_catalog : (string * string * string) list
 (** Every registered campaign as [(name, family, description)] — the single
     source of truth behind [repdir plans]. Families: ["standard"] (run by
@@ -191,32 +184,35 @@ val audit_violations : outcome -> int
 val total_violations : outcome -> int
 (** Sequential-model violations plus {!audit_violations}. *)
 
+val unsafe : outcome -> bool
+(** The campaign verdict: any violation, any lock still held or queued at
+    quiesce, or any transaction still in doubt there. *)
+
+val world_seed : seed:int64 -> int -> int64
+(** The world seed {!run_all} gives the [i]th plan of a campaign seeded
+    [seed], so one plan run alone with it replays bit for bit. *)
+
 val run_plan :
   ?seed:int64 ->
   ?config:Repdir_quorum.Config.t ->
   ?key_space:int ->
   ?op_gap:float ->
   ?lease:float ->
-  ?power_cycle:bool ->
   ?audit:bool ->
   ?clients:int ->
-  ?robust:bool ->
   ?cache:bool ->
   plan ->
   outcome
 (** Defaults: the paper's 3-2-2 suite, 30 keys, exponential think time with
-    mean 2.0 between operations, a 60-unit transaction lease. [power_cycle]
-    (default false) restores the retired cleanup behaviour — restarting
-    every representative before the final audit — for A/B comparison
-    against the termination protocol.
+    mean 2.0 between operations, a 60-unit transaction lease.
 
-    [robust] arms the whole overload/gray-failure stack: representative
-    admission control ({!Repdir_rep.Rep.default_admission}), a shared
-    health-score table driving the [Healthy] picker, hedged reads (2.0-unit
-    floor), a 30-unit per-operation deadline budget, and per-client retry
-    budgets. It defaults to [true] exactly for the plans whose point that
-    stack is ({!slow_replica}, {!retry_storm}) and [false] for every
-    pre-existing plan, whose historical event streams are unchanged.
+    The plans whose point is the overload/gray-failure stack
+    ({!slow_replica}, {!retry_storm}) run with all of it armed:
+    representative admission control ({!Repdir_rep.Rep.default_admission}),
+    a shared health-score table driving the [Healthy] picker, hedged reads
+    (2.0-unit floor), a 30-unit per-operation deadline budget, and
+    per-client retry budgets. Every other plan runs the bare world, whose
+    historical event streams are unchanged.
 
     [audit] (default false) attaches a history recorder to every client and
     feeds the completed events to the online strict-serializability checker;
@@ -274,8 +270,9 @@ val run_reconfig :
   ?join_at:float ->
   unit ->
   outcome * reconfig_report
-(** One scripted online reconfiguration under the faults of
-    {!reconfig_plan}, end to end, with a live recorded workload throughout:
+(** One scripted online reconfiguration under the faults of the
+    "reconfig" fault plan, end to end, with a live recorded workload
+    throughout:
 
     the world starts as the paper's 3-2-2 suite plus a zero-vote [Joining]
     slot; the driver moves to a joint record giving the joiner one vote
@@ -294,8 +291,11 @@ val run_reconfig :
     stay clean across epoch changes. Defaults: duration 1500, 24 keys,
     2 clients, op gap 2.0, lease 60.
 
-    [faults] (default true) runs the {!reconfig_plan} schedule; [false]
-    gives the fault-free variant the throughput benchmark measures
+    [faults] (default true) runs the fault plan: brief single-representative
+    partitions that cut the victim from every node (clients, admin and
+    syncer included) and occasional short bounces, rotating over the slots,
+    with calm windows of about 240 units for the driver's retry loops;
+    [false] gives the fault-free variant the throughput benchmark measures
     (steady-state versus during-join ops must not be confounded by
     partition-induced unavailability). [join_at] (default 80) is the
     virtual time the driver starts the join — the benchmark raises it to
@@ -345,7 +345,9 @@ val run_shard :
   ?config:Repdir_quorum.Config.t ->
   unit ->
   outcome * shard_report
-(** One scripted shard split under the faults of {!shard_plan}, end to end,
+(** One scripted shard split under the faults of the "sharded split" plan
+    (the reconfiguration campaign's plan shape, with victims rotating over
+    every group's slots and calm windows of about 160 units), end to end,
     with a live recorded workload throughout.
 
     The world is a {!Shard_world} of [groups] (default 2, must be [>= 2])
@@ -370,7 +372,7 @@ val run_shard :
     model; with more, [audit] (default {b true}) makes the
     strict-serializability checker the oracle, and the replica scrubber
     sweeps each group independently at quiesce. [faults] (default true) runs
-    the {!shard_plan} schedule; [false] gives the fault-free variant the
+    the fault plan; [false] gives the fault-free variant the
     throughput benchmark measures. Defaults: duration 1500, 24 keys,
     2 clients, op gap 2.0, lease 60. *)
 
@@ -381,7 +383,6 @@ val run_all :
   ?key_space:int ->
   ?op_gap:float ->
   ?lease:float ->
-  ?power_cycle:bool ->
   ?audit:bool ->
   ?clients:int ->
   ?cache:bool ->
@@ -393,18 +394,3 @@ val run_all :
     world with a seed derived from [seed]. *)
 
 val table_of_outcomes : outcome list -> Repdir_util.Table.t
-
-val table :
-  ?seed:int64 ->
-  ?config:Repdir_quorum.Config.t ->
-  ?duration:float ->
-  ?key_space:int ->
-  ?op_gap:float ->
-  ?lease:float ->
-  ?power_cycle:bool ->
-  ?audit:bool ->
-  ?clients:int ->
-  ?all:bool ->
-  unit ->
-  Repdir_util.Table.t
-(** {!run_all} rendered as one row per plan plus a violation total. *)
