@@ -100,12 +100,9 @@ let run ?expected_epoch ~(config : Config.t) (reps : Rep.t array) : string list 
     (* Candidate keys: everything any representative has an entry for —
        this includes ghost copies whose committed fate was deletion. *)
     let keys =
-      Array.fold_left
-        (fun acc rep ->
-          List.fold_left (fun acc (k, _, _) -> if List.mem k acc then acc else k :: acc) acc
-            (Rep.entries rep))
-        [] reps
-      |> List.sort Key.compare
+      Array.to_list reps
+      |> List.concat_map (fun rep -> List.map (fun (k, _, _) -> k) (Rep.entries rep))
+      |> List.sort_uniq Key.compare
     in
     (* Same version, same value. *)
     List.iter

@@ -284,7 +284,7 @@ type staleness_row = {
    times; at the end traffic stops and the actor gets a grace window in
    which it must converge the suite. *)
 let staleness_row ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2)
-    ?(lease = 60.0) ?(power_cycle = false) ~period ~duration () =
+    ?(lease = 60.0) ~period ~duration () =
   let n = Repdir_quorum.Config.n_reps config in
   let grace = 60.0 +. (4.0 *. period) +. lease +. 30.0 in
   let world =
@@ -334,17 +334,10 @@ let staleness_row ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r
           Sim.sleep sim 45.0;
           (* A representative cut off mid-transaction is left holding range
              locks for a coordinator that already gave up on it. The lease
-             machinery now terminates those transactions in place: an
-             unprepared one lease-expires into a unilateral abort (locks
-             released), a prepared one goes in doubt and resolves once the
-             partition heals. [power_cycle] keeps the retired workaround —
-             restart the isolated node before rejoining so volatile locks
-             are dropped wholesale — for A/B comparison against the
-             termination protocol. *)
-          if power_cycle then begin
-            Sim_world.crash_rep world victim;
-            Sim_world.recover_rep world victim
-          end;
+             machinery terminates those transactions in place: an unprepared
+             one lease-expires into a unilateral abort (locks released), a
+             prepared one goes in doubt and resolves once the partition
+             heals. *)
           Net.heal_partition net
         end
       done;
@@ -382,11 +375,9 @@ let staleness_row ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r
     st_indoubt_open = sum Rep.in_doubt_count;
   }
 
-let staleness_sweep ?seed ?config ?lease ?power_cycle
-    ?(periods = [ 10.0; 30.0; 100.0; 300.0 ]) ?(duration = 900.0) () =
-  List.map
-    (fun period -> staleness_row ?seed ?config ?lease ?power_cycle ~period ~duration ())
-    periods
+let staleness_sweep ?seed ?config ?lease ?(periods = [ 10.0; 30.0; 100.0; 300.0 ])
+    ?(duration = 900.0) () =
+  List.map (fun period -> staleness_row ?seed ?config ?lease ~period ~duration ()) periods
 
 let table_of_staleness_rows rows =
   let t =
@@ -418,6 +409,5 @@ let table_of_staleness_rows rows =
     rows;
   t
 
-let staleness_table ?seed ?config ?lease ?power_cycle ?periods ?duration () =
-  table_of_staleness_rows
-    (staleness_sweep ?seed ?config ?lease ?power_cycle ?periods ?duration ())
+let staleness_table ?seed ?config ?lease ?periods ?duration () =
+  table_of_staleness_rows (staleness_sweep ?seed ?config ?lease ?periods ?duration ())

@@ -89,7 +89,6 @@ val staleness_sweep :
   ?seed:int64 ->
   ?config:Repdir_quorum.Config.t ->
   ?lease:float ->
-  ?power_cycle:bool ->
   ?periods:float list ->
   ?duration:float ->
   unit ->
@@ -107,9 +106,7 @@ val staleness_sweep :
     The partitioned representative is {i not} restarted before rejoining:
     transactions orphaned by the partition terminate through the lease
     machinery ([lease], default 60.0 — unprepared work aborts unilaterally,
-    prepared work resolves through coordinator/peer queries after heal).
-    [power_cycle] (default false) reinstates the retired crash-and-recover
-    workaround for A/B comparison. *)
+    prepared work resolves through coordinator/peer queries after heal). *)
 
 val table_of_staleness_rows : staleness_row list -> Repdir_util.Table.t
 
@@ -117,7 +114,6 @@ val staleness_table :
   ?seed:int64 ->
   ?config:Repdir_quorum.Config.t ->
   ?lease:float ->
-  ?power_cycle:bool ->
   ?periods:float list ->
   ?duration:float ->
   unit ->
