@@ -116,16 +116,18 @@ let convergence ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2
      execute a delayed request later). Client-level retries re-run failed
      operations against fresh quorums. *)
   let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1 ~n_clients:1 ~config ()
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1 ~n_clients:1 ~config
+      ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  let reps = Sim_world.reps world in
-  let sync = Sim_world.start_sync ~config:sync_config world in
+  let sim = Shard_world.sim world in
+  let net = Shard_world.net world in
+  let reps = Shard_world.reps world in
+  let sync = Shard_world.make_sync ~config:sync_config world [ 0 ] in
+  Sync.run sync sim;
   (* The background actor stays off until the heal, so the post-heal counter
      deltas measure exactly the partition-repair traffic. *)
   Sync.set_enabled sync false;
-  let suite = Sim_world.suite_for_client ~sync world 0 in
+  let suite = Shard_world.suite_for_client ~sync world 0 in
   let rng = Rng.create (Int64.add seed 3L) in
   let retry_rng = Rng.create (Int64.add seed 4L) in
   let victim = Rng.int rng n in
@@ -288,18 +290,15 @@ let staleness_row ?(seed = 1983L) ?(config = Repdir_quorum.Config.simple ~n:3 ~r
   let n = Repdir_quorum.Config.n_reps config in
   let grace = 60.0 +. (4.0 *. period) +. lease +. 30.0 in
   let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1
-      ~n_clients:1 ~lease ~config ()
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:1
+      ~n_clients:1 ~lease ~config ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let net = Sim_world.net world in
-  let reps = Sim_world.reps world in
-  let sync =
-    Sim_world.start_sync
-      ~config:{ Sync.default_config with period }
-      ~until:(duration +. grace) world
-  in
-  let suite = Sim_world.suite_for_client ~sync world 0 in
+  let sim = Shard_world.sim world in
+  let net = Shard_world.net world in
+  let reps = Shard_world.reps world in
+  let sync = Shard_world.make_sync ~config:{ Sync.default_config with period } world [ 0 ] in
+  Sync.run ~until:(duration +. grace) sync sim;
+  let suite = Shard_world.suite_for_client ~sync world 0 in
   let rng = Rng.create (Int64.add seed 5L) in
   let retry_rng = Rng.create (Int64.add seed 6L) in
   let key_space = 50 in

@@ -25,8 +25,8 @@ let file_key = "THE-FILE"
 
 (* Pre-populate directly at the representatives (synchronous, uncontended). *)
 let prepopulate world ~scheme ~n_keys =
-  let txn = Txn.Manager.begin_txn (Sim_world.txns world) in
-  let reps = Sim_world.reps world in
+  let txn = Txn.Manager.begin_txn (Shard_world.txns world) in
+  let reps = Shard_world.reps world in
   (match scheme with
   | Gap ->
       for k = 0 to n_keys - 1 do
@@ -34,14 +34,14 @@ let prepopulate world ~scheme ~n_keys =
       done
   | Single_version -> Array.iter (fun rep -> Rep.insert rep ~txn file_key 1 "blob0") reps);
   Array.iter (fun rep -> Rep.commit rep ~txn) reps;
-  Txn.Manager.commit (Sim_world.txns world) txn
+  Txn.Manager.commit (Shard_world.txns world) txn
 
 let run ?(seed = 7L) ?(duration = 2000.0) ?(n_keys = 64) ?(ops_per_txn = 2) ?zipf_s ~scheme
     ~clients ~config () =
   let world =
-    Sim_world.create ~seed ~rpc_timeout:1.0e9 ~n_clients:clients ~config ()
+    Shard_world.create ~seed ~rpc_timeout:1.0e9 ~n_clients:clients ~config ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   prepopulate world ~scheme ~n_keys;
   let committed = ref 0 in
   let deadlock_aborts = ref 0 in
@@ -54,7 +54,7 @@ let run ?(seed = 7L) ?(duration = 2000.0) ?(n_keys = 64) ?(ops_per_txn = 2) ?zip
     | None -> Key.of_int (Rng.int rng n_keys)
   in
   for c = 0 to clients - 1 do
-    let suite = Sim_world.suite_for_client ~seed:(Rng.int64 client_rng) world c in
+    let suite = Shard_world.suite_for_client ~seed:(Rng.int64 client_rng) world c in
     let rng = Rng.split client_rng in
     let body txn =
       for _ = 1 to ops_per_txn do
@@ -85,7 +85,7 @@ let run ?(seed = 7L) ?(duration = 2000.0) ?(n_keys = 64) ?(ops_per_txn = 2) ?zip
   let lock_waits =
     Array.fold_left
       (fun acc rep -> acc + (Rep.counters rep).Rep.lock_waits)
-      0 (Sim_world.reps world)
+      0 (Shard_world.reps world)
   in
   {
     scheme;

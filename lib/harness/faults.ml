@@ -17,9 +17,11 @@ let run ?(seed = 33L) ?(ops_per_phase = 150) ?(retries = 1)
     ?(config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2) () =
   let n = Repdir_quorum.Config.n_reps config in
   if n < 2 then invalid_arg "Faults.run: need at least two representatives";
-  let world = Sim_world.create ~seed ~rpc_timeout:30.0 ~n_clients:1 ~config () in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let world =
+    Shard_world.create ~seed ~rpc_timeout:30.0 ~n_clients:1 ~config ~groups:1 ()
+  in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 in
   let rng = Rng.create (Int64.add seed 1L) in
   let retry_rng = Rng.create (Int64.add seed 2L) in
   let model : (string, string) Hashtbl.t = Hashtbl.create 64 in
@@ -28,7 +30,7 @@ let run ?(seed = 33L) ?(ops_per_phase = 150) ?(retries = 1)
   let up_count () =
     Array.fold_left
       (fun acc r -> if Repdir_rep.Rep.is_crashed r then acc else acc + 1)
-      0 (Sim_world.reps world)
+      0 (Shard_world.reps world)
   in
   (* One operation against suite and model; true if it completed. Transient
      failures are retried with backoff before the attempt is written off. *)
@@ -79,13 +81,13 @@ let run ?(seed = 33L) ?(ops_per_phase = 150) ?(retries = 1)
   in
   Sim.spawn sim (fun () ->
       run_phase "all representatives up";
-      Sim_world.crash_rep world 0;
+      Shard_world.crash_rep world 0;
       run_phase "rep0 crashed";
-      Sim_world.crash_rep world 1;
+      Shard_world.crash_rep world 1;
       run_phase "rep0 and rep1 crashed";
-      Sim_world.recover_rep world 1;
+      Shard_world.recover_rep world 1;
       run_phase "rep1 recovered (stale)";
-      Sim_world.recover_rep world 0;
+      Shard_world.recover_rep world 0;
       run_phase "all recovered");
   Sim.run sim;
   { phases = List.rev !phases; consistency_violations = !violations }

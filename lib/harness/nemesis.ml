@@ -441,9 +441,8 @@ let unsafe o = total_violations o > 0 || o.orphan_locks > 0 || o.indoubt_open > 
 let world_seed ~seed i = Int64.add seed (Int64.mul 1000003L (Int64.of_int i))
 
 (* A world as the fault actions and the runner see it. Plan node [i] below
-   [Array.length reps] is representative [reps.(i)]; {!Sim_world} numbers
-   its nodes that way, and {!Shard_world} maps node [i] to slot
-   [i mod n] of group [i / n]. *)
+   [Array.length reps] is representative [reps.(i)], as {!Shard_world}
+   numbers its nodes: slot [i mod n] of group [i / n]. *)
 type world = {
   sim : Sim.t;
   net : Net.t;
@@ -454,28 +453,14 @@ type world = {
   recorder : int -> Repdir_audit.History.recorder;
 }
 
-let of_sim_world w =
-  {
-    sim = Sim_world.sim w;
-    net = Sim_world.net w;
-    reps = Sim_world.reps w;
-    crash = (fun ?wal_fault i -> Sim_world.crash_rep ?wal_fault w i);
-    recover = Sim_world.recover_rep w;
-    skew = Sim_world.set_clock_skew w;
-    recorder = Sim_world.recorder_for_client w;
-  }
-
-let of_shard_world w =
-  let n = Shard_world.reps_per_group w in
+let of_world w =
   {
     sim = Shard_world.sim w;
     net = Shard_world.net w;
-    reps = Array.concat (List.init (Shard_world.groups w) (Shard_world.group_reps w));
-    crash =
-      (fun ?wal_fault node -> Shard_world.crash_rep ?wal_fault w ~g:(node / n) (node mod n));
-    recover = (fun node -> Shard_world.recover_rep w ~g:(node / n) (node mod n));
-    (* Every representative of a sharded deployment runs on the true clock. *)
-    skew = (fun _ ~offset:_ ~rate:_ -> ());
+    reps = Shard_world.reps w;
+    crash = (fun ?wal_fault node -> Shard_world.crash_rep ?wal_fault w node);
+    recover = Shard_world.recover_rep w;
+    skew = Shard_world.set_clock_skew w;
     recorder = Shard_world.recorder_for_client w;
   }
 
@@ -777,12 +762,12 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   if clients < 1 then invalid_arg "Nemesis.run_plan: need at least one client";
   let robust = List.mem plan.plan_name robust_plan_names in
   let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
       ~two_phase:true ~n_clients:clients ~lease
       ?admission:(if robust then Some Rep.default_admission else None)
-      ~config ()
+      ~config ~groups:1 ()
   in
-  let rig = rig (of_sim_world world) ~seed ~audit ~clients in
+  let rig = rig (of_world world) ~seed ~audit ~clients in
   (* One shared health table: every client's observations feed it and every
      client's picker reads it, so a gray representative spotted by one
      client is avoided by all. *)
@@ -797,7 +782,7 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
   in
   let suites =
     Array.init clients (fun c ->
-        Sim_world.suite_for_client ?recorder:(recorder rig c)
+        Shard_world.suite_for_client ?recorder:(recorder rig c)
           ?picker:(Option.map (fun h -> Picker.Healthy h) health)
           ?health
           ?op_deadline:(if robust then Some 30.0 else None)
@@ -817,7 +802,7 @@ let run_plan ?(seed = 1983L) ?(config = Config.simple ~n:3 ~r:2 ~w:2) ?(key_spac
           (Repdir_cache.Cache.sum_counters
              (Array.to_list (Array.map Repdir_cache.Cache.counters caches)))
       else None)
-    ~scrub:(fun () -> Repdir_audit.Scrub.run ~config (Sim_world.reps world))
+    ~scrub:(fun () -> Repdir_audit.Scrub.run ~config (Shard_world.reps world))
     ()
 
 (* --- epoch drivers ------------------------------------------------------------------- *)
@@ -938,21 +923,21 @@ let run_reconfig ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap
       ~duration ~seed:(Int64.add seed (Int64.mul 7919L 8L))
   in
   let world =
-    Sim_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~n_clients:(clients + 1) ~lease ~config:initial_config ()
+    Shard_world.create ~seed ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~two_phase:true ~n_clients:(clients + 1) ~lease ~config:initial_config ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let rig = rig (of_sim_world world) ~seed ~audit ~clients in
+  let sim = Shard_world.sim world in
+  let rig = rig (of_world world) ~seed ~audit ~clients in
   let suites =
     Array.init clients (fun c ->
-        Sim_world.suite_for_client ?recorder:(recorder rig c) ~membership:m0 world c)
+        Shard_world.suite_for_client ?recorder:(recorder rig c) ~membership:m0 world c)
   in
   (* The admin drives the reconfiguration from its own client slot (and
      node): record writes go through an ordinary membership-armed suite, so
      they collect joint quorums and commit with two-phase commit like any
      other directory write. *)
-  let admin = Sim_world.suite_for_client ~membership:m0 world clients in
-  let syncer = Sim_world.make_sync world in
+  let admin = Shard_world.suite_for_client ~membership:m0 world clients in
+  let syncer = Shard_world.make_sync world [ 0 ] in
   let admin_rng = Rng.create (Int64.add seed 5L) in
   (* --- the reconfiguration driver ---------------------------------------- *)
   let record = ref m0 in
@@ -1150,7 +1135,7 @@ let run_reconfig ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap
           match !record with Member.Stable v -> v | Member.Joint (o, _) -> o
         in
         Repdir_audit.Scrub.run ~expected_epoch:(Member.epoch_of !record)
-          ~config:scrub_view.Member.config (Sim_world.reps world))
+          ~config:scrub_view.Member.config (Shard_world.reps world))
       ()
   in
   ( outcome,
@@ -1242,7 +1227,7 @@ let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 
       ~n_clients:(clients + 1) ~lease ~config ~groups ()
   in
   let sim = Shard_world.sim world in
-  let rig = rig (of_shard_world world) ~seed ~audit ~clients in
+  let rig = rig (of_world world) ~seed ~audit ~clients in
   (* Groups [0 .. groups-2] each serve an equal initial slice; the split cut
      sits at the [groups-1]/[groups] point, so after the flip every group —
      the newcomer included — serves a 1/[groups] slice. *)
@@ -1257,7 +1242,7 @@ let run_shard ?(seed = 1983L) ?(duration = 1500.0) ?(key_space = 24) ?(op_gap = 
   (* The admin drives the migration from its own client slot (and node):
      epoch installs and gate digests ride its per-group transports. *)
   let admin = Shard_world.router_for_client world clients ~map:m0 in
-  let cross = Shard_world.make_cross_sync world ~from_g:src_g ~to_g:dst_g in
+  let cross = Shard_world.make_sync ~seed:0xc0_55eedL world [ src_g; dst_g ] in
   (* --- the migration driver ---------------------------------------------- *)
   let map = ref m0 in
   let phase = ref `Steady in

@@ -4,7 +4,7 @@
     crash storms, rolling partitions, probabilistic link gremlins
     (drop/duplicate/reorder/latency spikes), and crashes that tear or
     corrupt the write-ahead log's tail. {!run_plan} drives a live
-    random workload through the plan on a {!Sim_world}, checking every
+    random workload through the plan on a {!Shard_world}, checking every
     response against a sequential model, then heals the world, lets the
     transaction-termination protocol drain (leases expire abandoned
     transactions; in-doubt ones resolve against the coordinator or a peer),

@@ -238,7 +238,7 @@ let test_hedge_delay_floor_and_p99 () =
 (* --- gray failure end to end ---------------------------------------------------- *)
 
 let slow_links world ~victim ~factor =
-  let net = Sim_world.net world in
+  let net = Shard_world.net world in
   let slow = { Net.no_faults with spike = 1.0; spike_factor = factor } in
   for j = 0 to Net.n_nodes net - 1 do
     if j <> victim then Net.set_link_faults net victim j slow
@@ -265,12 +265,12 @@ let test_random_picker_terminates_with_slow_rep () =
      baseline: every operation still terminates (success or a clean
      write-off), and most succeed — slow is not crashed. *)
   let world =
-    Sim_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~config:cfg_322 ()
+    Shard_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~two_phase:true ~config:cfg_322 ~groups:1 ()
   in
   slow_links world ~victim:0 ~factor:8.0;
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 in
   let retry_rng = Rng.create 22L in
   let ops = 25 in
   let succeeded, failed =
@@ -290,17 +290,17 @@ let test_healthy_picker_and_hedging_under_gray_rep () =
      scoring must steer quorums off the victim in steady state, and during
      the detection lag the suspect-based hedge must fire at least once. *)
   let world =
-    Sim_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
-      ~two_phase:true ~admission:Rep.default_admission ~config:cfg_322 ()
+    Shard_world.create ~seed:21L ~rpc_timeout:10.0 ~rpc_attempts:4 ~rpc_backoff:2.0
+      ~two_phase:true ~admission:Rep.default_admission ~config:cfg_322 ~groups:1 ()
   in
   (* Factor 3 sits right at the outlier boundary: slow enough to hurt, mild
      enough that the flag flickers — exactly the regime where the
      suspect-based hedge carries the load. *)
   slow_links world ~victim:0 ~factor:3.0;
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   let health = Picker.Health.create ~n:3 () in
   let suite =
-    Sim_world.suite_for_client
+    Shard_world.suite_for_client
       ~picker:(Picker.Healthy health)
       ~health ~op_deadline:30.0 ~hedge:1.0 world 0
   in

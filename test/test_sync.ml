@@ -469,9 +469,9 @@ let test_apply_range_commit_survives_crash () =
 
 let test_suite_sync_wiring () =
   let config = Repdir_quorum.Config.simple ~n:3 ~r:2 ~w:2 in
-  let w = Sim_world.create ~config () in
-  let s = Sim_world.make_sync w in
-  let suite = Sim_world.suite_for_client ~sync:s w 0 in
+  let w = Shard_world.create ~config ~groups:1 () in
+  let s = Shard_world.make_sync w [ 0 ] in
+  let suite = Shard_world.suite_for_client ~sync:s w 0 in
   Alcotest.(check bool) "counters exposed" true
     (Repdir_core.Suite.sync_counters suite <> None);
   Alcotest.(check bool) "enabled by default" true (Repdir_sync.Sync.enabled s);
@@ -480,7 +480,7 @@ let test_suite_sync_wiring () =
     (Repdir_sync.Sync.enabled s);
   Repdir_core.Suite.set_sync_enabled suite true;
   Alcotest.(check bool) "re-enabled" true (Repdir_sync.Sync.enabled s);
-  let plain = Sim_world.suite_for_client w 0 in
+  let plain = Shard_world.suite_for_client w 0 in
   Alcotest.(check bool) "no actor, no counters" true
     (Repdir_core.Suite.sync_counters plain = None);
   Alcotest.check_raises "toggle without actor rejected"

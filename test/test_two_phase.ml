@@ -464,17 +464,17 @@ let test_sim_world_two_phase_end_to_end () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~rpc_timeout:30.0
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
+    Shard_world.create ~two_phase:true ~rpc_timeout:30.0
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client world 0 in
   let ok = ref false in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
-      Sim_world.crash_rep world 2;
+      Shard_world.crash_rep world 2;
       (match Suite.update suite "k" "v2" with Ok () -> () | Error _ -> ());
-      Sim_world.recover_rep world 2;
+      Shard_world.recover_rep world 2;
       ok := Suite.lookup suite "k" = Some (2, "v2") || Suite.mem suite "k");
   Sim.run sim;
   Alcotest.(check bool) "2PC world runs correctly" true !ok
@@ -486,21 +486,21 @@ let test_sim_world_in_doubt_resolves_by_rpc () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0
-      ~config:(Config.simple ~n:3 ~r:3 ~w:3) ()
+    Shard_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0
+      ~config:(Config.simple ~n:3 ~r:3 ~w:3) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let reps = Sim_world.reps world in
-  let suite = Sim_world.suite_for_client world 0 in
+  let sim = Shard_world.sim world in
+  let reps = Shard_world.reps world in
+  let suite = Shard_world.suite_for_client world 0 in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
       (* Simulate the lost-commit window at rep 2 directly: a prepared
          transaction whose commit never arrives. *)
       let txn = 99 in
       Rep.insert reps.(2) ~txn "z" 5 "v";
-      Rep.prepare reps.(2) ~txn ~coord:(Sim_world.coordinator world 0 |> Coordinator.id);
-      Sim_world.crash_rep world 2;
-      Sim_world.recover_rep world 2;
+      Rep.prepare reps.(2) ~txn ~coord:(Shard_world.coordinator world 0 |> Coordinator.id);
+      Shard_world.crash_rep world 2;
+      Shard_world.recover_rep world 2;
       (* The restored in-doubt transaction queries the (live) coordinator;
          no decision is on file, so presumed abort terminates it. *)
       Sim.sleep sim 100.0);
@@ -520,11 +520,11 @@ let test_sim_batched_commit_flush_drains () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~lease:200.0 ~rpc_timeout:30.0
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
+    Shard_world.create ~two_phase:true ~lease:200.0 ~rpc_timeout:30.0
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client ~batching:true ~notice_window:5.0 world 0 in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client ~batching:true ~notice_window:5.0 world 0 in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
       ignore (Suite.insert suite "k2" "v2");
@@ -535,7 +535,7 @@ let test_sim_batched_commit_flush_drains () =
     (fun rep ->
       Alcotest.(check int) (Rep.name rep ^ " locks drained") 0 (Rep.locks_held rep);
       Alcotest.(check int) (Rep.name rep ^ " nothing in doubt") 0 (Rep.in_doubt_count rep))
-    (Sim_world.reps world)
+    (Shard_world.reps world)
 
 let test_sim_batched_commit_lease_backstop () =
   (* Kill the pipeline: the notice window is far beyond the lease, so the
@@ -546,16 +546,16 @@ let test_sim_batched_commit_lease_backstop () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
+    Shard_world.create ~two_phase:true ~lease:20.0 ~rpc_timeout:10.0
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
-  let suite = Sim_world.suite_for_client ~batching:true ~notice_window:5000.0 world 0 in
+  let sim = Shard_world.sim world in
+  let suite = Shard_world.suite_for_client ~batching:true ~notice_window:5000.0 world 0 in
   Sim.spawn sim (fun () ->
       ignore (Suite.insert suite "k" "v");
       Sim.sleep sim 400.0);
   Sim.run sim;
-  let reps = Sim_world.reps world in
+  let reps = Shard_world.reps world in
   Array.iter
     (fun rep ->
       Alcotest.(check int) (Rep.name rep ^ " locks drained") 0 (Rep.locks_held rep);
@@ -584,12 +584,12 @@ let test_sim_group_commit_coalesces_syncs () =
   let open Repdir_sim in
   let open Repdir_harness in
   let world =
-    Sim_world.create ~two_phase:true ~n_clients:2 ~group_commit:3.0 ~rpc_timeout:30.0
-      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ()
+    Shard_world.create ~two_phase:true ~n_clients:2 ~group_commit:3.0 ~rpc_timeout:30.0
+      ~config:(Config.simple ~n:3 ~r:2 ~w:2) ~groups:1 ()
   in
-  let sim = Sim_world.sim world in
+  let sim = Shard_world.sim world in
   let suites =
-    Array.init 2 (fun c -> Sim_world.suite_for_client ~batching:true world c)
+    Array.init 2 (fun c -> Shard_world.suite_for_client ~batching:true world c)
   in
   let done_count = ref 0 in
   for c = 0 to 1 do
@@ -603,7 +603,7 @@ let test_sim_group_commit_coalesces_syncs () =
   done;
   Sim.run sim;
   Alcotest.(check int) "both clients finished" 2 !done_count;
-  let reps = Sim_world.reps world in
+  let reps = Shard_world.reps world in
   Array.iter (fun s -> Suite.flush_notices s) suites;
   Sim.run sim;
   let absorbed = Array.fold_left (fun n rep -> n + Rep.wal_group_absorbed rep) 0 reps in
